@@ -12,6 +12,11 @@ Modes:
 with one failure class. Self-consistency repeats the whole phase set per
 sample and majority-votes the normalized answers.
 
+Guests run through one ``executor.Helper`` per run: ``run_many`` owns it
+for all its instances, and a direct ``run_instance`` or
+``run_self_consistency`` call owns one for its own duration. The helper
+starts on the run's first guest and is closed when the run ends.
+
 Backends that declare ``deterministic`` get their persisted timing fields
 zeroed so a replayed run serializes byte-for-byte.
 """
@@ -147,7 +152,7 @@ def _auxiliary_phases(mode: str) -> "list[str]":
 
 
 def _run_sample(
-    instance, backend, config: RunConfig, library, sample_index: int
+    instance, backend, config: RunConfig, library, sample_index: int, helper
 ) -> _SampleResult:
     result = _SampleResult()
     question = instance.prompt
@@ -220,7 +225,9 @@ def _run_sample(
         result.failure_class = "exec_error"
         return result
 
-    outcome = executor.execute(script.repaired, timeout_s=config.exec_timeout_s)
+    outcome = executor.execute(
+        script.repaired, timeout_s=config.exec_timeout_s, helper=helper
+    )
     result.outcome = outcome.to_json_dict()
     if outcome.exit == "timeout":
         result.failure_class = "timeout"
@@ -248,12 +255,15 @@ def _zero_timing(record: EvalRecord) -> None:
         record.outcome["wall_ms"] = 0
 
 
-def run_instance(instance, backend, config: RunConfig, library=None) -> EvalRecord:
+def run_instance(
+    instance, backend, config: RunConfig, library=None, helper=None
+) -> EvalRecord:
     if library is None:
         library = prompts.load_templates()
     config.validate()
     start = time.monotonic()
-    sample = _run_sample(instance, backend, config, library, sample_index=0)
+    with executor.helper_scope(helper) as helper:
+        sample = _run_sample(instance, backend, config, library, 0, helper)
     record = EvalRecord(
         instance_id=instance.id,
         dataset=instance.dataset,
@@ -279,19 +289,20 @@ def run_instance(instance, backend, config: RunConfig, library=None) -> EvalReco
 
 
 def run_self_consistency(
-    instance, backend, config: RunConfig, library=None
+    instance, backend, config: RunConfig, library=None, helper=None
 ) -> EvalRecord:
     if library is None:
         library = prompts.load_templates()
     config.validate()
     if config.samples_k == 1:
-        return run_instance(instance, backend, config, library)
+        return run_instance(instance, backend, config, library, helper)
 
     start = time.monotonic()
-    samples = [
-        _run_sample(instance, backend, config, library, sample_index=i)
-        for i in range(config.samples_k)
-    ]
+    with executor.helper_scope(helper) as helper:
+        samples = [
+            _run_sample(instance, backend, config, library, i, helper)
+            for i in range(config.samples_k)
+        ]
     record = EvalRecord(
         instance_id=instance.id,
         dataset=instance.dataset,
@@ -336,17 +347,24 @@ def run_self_consistency(
 def run_many(
     instances: Iterable, backend, config: RunConfig, library=None
 ) -> Iterator[EvalRecord]:
-    """Run every instance, yielding records in submission order."""
+    """Run every instance, yielding records in submission order.
+
+    All guests run through one helper, closed when the generator is
+    exhausted or closed.
+    """
     if library is None:
         library = prompts.load_templates()
     config.validate()
     instances = list(instances)
-    if config.concurrency <= 1:
-        for instance in instances:
-            yield run_self_consistency(instance, backend, config, library)
-        return
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        yield from pool.map(
-            lambda inst: run_self_consistency(inst, backend, config, library),
-            instances,
-        )
+    with executor.Helper() as helper:
+        if config.concurrency <= 1:
+            for instance in instances:
+                yield run_self_consistency(instance, backend, config, library, helper)
+            return
+        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+            yield from pool.map(
+                lambda inst: run_self_consistency(
+                    inst, backend, config, library, helper
+                ),
+                instances,
+            )
