@@ -22,24 +22,12 @@ from typing import Callable, Optional
 
 DEFAULT_TIMEOUT_S = 60.0
 DEFAULT_MAX_RETRIES = 3
-DEFAULT_REQUEST_SLOTS = 4
 
 _BACKOFF_BASE_S = 1.0
 _BACKOFF_FACTOR = 2.0
 _BACKOFF_JITTER_S = 0.25
 
 _RETRYABLE_STATUS = frozenset({429}) | frozenset(range(500, 600))
-
-_slots = threading.BoundedSemaphore(DEFAULT_REQUEST_SLOTS)
-
-
-def set_request_slots(count: int) -> None:
-    """Resize the global cap on concurrent live requests."""
-    global _slots
-    if count < 1:
-        raise ValueError("request slot count must be >= 1")
-    _slots = threading.BoundedSemaphore(count)
-
 
 class BackendError(Exception):
     """A completion could not be produced."""
@@ -155,14 +143,13 @@ class HttpBackend:
                 delay = _BACKOFF_BASE_S * (_BACKOFF_FACTOR ** (attempt - 1))
                 delay += self._rng.uniform(0.0, _BACKOFF_JITTER_S)
                 self._sleep(delay)
-            with _slots:
-                try:
-                    status, body = self._transport(
-                        url, headers, payload, self.config.timeout_s
-                    )
-                except (ConnectionError, OSError, TimeoutError) as exc:
-                    last_error = f"transport failure: {exc}"
-                    continue
+            try:
+                status, body = self._transport(
+                    url, headers, payload, self.config.timeout_s
+                )
+            except (ConnectionError, OSError, TimeoutError) as exc:
+                last_error = f"transport failure: {exc}"
+                continue
             if status in (401, 403):
                 raise BackendError(f"authentication failed (HTTP {status})")
             if status in _RETRYABLE_STATUS:

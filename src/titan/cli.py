@@ -7,13 +7,15 @@ deltas), and ``record-replay`` (live run that also captures a replay file).
 Exit codes: 0 success, 1 usage or configuration problem, 2 runtime failure.
 Records are flushed line by line so an interrupted run keeps everything it
 finished; the run manifest is a separate file and marks the run
-``interrupted`` in that case. Secrets never live in config files: only the
-name of the environment variable holding the API key does.
+``interrupted`` in that case, or ``failed`` when the run raised. Secrets
+never live in config files: only the name of the environment variable
+holding the API key does.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,24 +30,11 @@ COST_GUARD_REQUESTS = 200
 
 _make_backend = backend_mod.make_backend
 
-_RUN_KEYS = {
-    "mode",
-    "temperature",
-    "samples_k",
-    "exec_timeout_s",
-    "concurrency",
-    "case_sensitive",
-    "system_prompt",
-    "phase_parallel",
-}
+_RUN_KEYS = {f.name for f in dataclasses.fields(pipeline.RunConfig)}
+# BackendConfig.kind is spelled backend_kind in config files, after --backend.
 _BACKEND_KEYS = {
-    "backend_kind",
-    "endpoint_url",
-    "model",
-    "api_key_env",
-    "timeout_s",
-    "max_retries",
-    "replay_path",
+    "backend_kind" if f.name == "kind" else f.name
+    for f in dataclasses.fields(backend_mod.BackendConfig)
 }
 _OTHER_KEYS = {"templates_dir"}
 
@@ -120,16 +109,50 @@ def _merge(file_cfg: dict, args) -> tuple:
 def _load_instances(path: str):
     if not os.path.isfile(path):
         raise UsageError(f"instances file not found: {path}")
-    return taskgen.read_jsonl(path)
+    try:
+        return taskgen.read_jsonl(path)
+    except ValueError as exc:
+        raise UsageError(f"bad instances file: {exc}") from None
+
+
+def _parse_records(path: str, data: bytes) -> "list[dict]":
+    records = []
+    for line_no, line in enumerate(data.split(b"\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: malformed record: {exc}") from None
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}:{line_no}: malformed record: not an object")
+        records.append(record)
+    return records
 
 
 def _read_records(path: str) -> "list[dict]":
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    with open(path, "rb") as fh:
+        return _parse_records(path, fh.read())
+
+
+def _resume_records(path: str) -> "list[dict]":
+    """The records a resumed run keeps from its records file.
+
+    A record is written once its newline is. Bytes after the last newline
+    are a record torn by a killed run: they are dropped with a warning and
+    cut from the file, so the next record starts on a line of its own.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.rfind(b"\n") + 1
+    records = _parse_records(path, data[:end])
+    if end < len(data):
+        line_no = data.count(b"\n") + 1
+        print(
+            f"warning: {path}:{line_no}: dropping unterminated last line",
+            file=sys.stderr,
+        )
+        os.truncate(path, end)
     return records
 
 
@@ -213,7 +236,7 @@ def _run_common(args, recording_path: Optional[str]) -> int:
 
     done_ids = set()
     if args.resume and os.path.isfile(out_path):
-        for record in _read_records(out_path):
+        for record in _resume_records(out_path):
             done_ids.add(record.get("instance_id"))
     pending = [i for i in instances if i.id not in done_ids]
 
@@ -250,32 +273,15 @@ def _run_common(args, recording_path: Optional[str]) -> int:
         "correct": 0,
         "failures": {},
         "config": {
-            "run": {
-                "mode": run_config.mode,
-                "temperature": run_config.temperature,
-                "samples_k": run_config.samples_k,
-                "exec_timeout_s": run_config.exec_timeout_s,
-                "concurrency": run_config.concurrency,
-                "case_sensitive": run_config.case_sensitive,
-                "system_prompt": run_config.system_prompt,
-                "phase_parallel": run_config.phase_parallel,
-            },
-            "backend": {
-                "kind": backend_config.kind,
-                "endpoint_url": backend_config.endpoint_url,
-                "model": backend_config.model,
-                "api_key_env": backend_config.api_key_env,
-                "timeout_s": backend_config.timeout_s,
-                "max_retries": backend_config.max_retries,
-                "replay_path": backend_config.replay_path,
-            },
+            "run": dataclasses.asdict(run_config),
+            "backend": dataclasses.asdict(backend_config),
             "templates_dir": templates_dir,
         },
     }
     _write_manifest(manifest_path, manifest)
 
     file_mode = "a" if (args.resume and done_ids) else "w"
-    status = "completed"
+    status = "failed"
     try:
         with open(out_path, file_mode, encoding="utf-8") as fh:
             for record in pipeline.run_many(pending, backend, run_config, library):
@@ -293,11 +299,14 @@ def _run_common(args, recording_path: Optional[str]) -> int:
                     manifest["failures"][record.failure_class] = (
                         manifest["failures"].get(record.failure_class, 0) + 1
                     )
+        status = "completed"
     except KeyboardInterrupt:
         status = "interrupted"
-    manifest["status"] = status
-    manifest["finished_at"] = _now_iso()
-    _write_manifest(manifest_path, manifest)
+    finally:
+        # any other exception propagates after the manifest says "failed"
+        manifest["status"] = status
+        manifest["finished_at"] = _now_iso()
+        _write_manifest(manifest_path, manifest)
 
     print(
         f"{status}: {manifest['completed']}/{len(pending)} instances "

@@ -58,17 +58,6 @@ _CHUNK = 64 * 1024
 _KILL_GRACE_S = 1.0
 _CLOSE_TIMEOUT_S = 5.0
 
-_slots = threading.BoundedSemaphore(os.cpu_count() or 2)
-
-
-def set_process_slots(count: int) -> None:
-    """Resize the global cap on simultaneous guest processes."""
-    global _slots
-    if count < 1:
-        raise ValueError("process slot count must be >= 1")
-    _slots = threading.BoundedSemaphore(count)
-
-
 def interpreter_available(interpreter: str = DEFAULT_INTERPRETER) -> bool:
     return shutil.which(interpreter) is not None
 
@@ -230,8 +219,7 @@ def execute(
         try:
             with open(os.path.join(run_dir, SCRIPT_NAME), "w", encoding="utf-8") as fh:
                 fh.write(script)
-            with _slots:
-                outcome = _run(helper, run_dir, timeout_s, output_cap)
+            outcome = _run(helper, run_dir, timeout_s, output_cap)
             if keep_dir:
                 outcome.workdir = run_dir
             return outcome

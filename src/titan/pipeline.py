@@ -8,14 +8,17 @@ Modes:
   of the two auxiliary phases.
 * ``pal_zs``: a single prompt asking for a completed ``solution()``.
 
-``run_instance`` never raises; every outcome lands in an ``EvalRecord``
-with one failure class. Self-consistency repeats the whole phase set per
-sample and majority-votes the normalized answers.
+``run_self_consistency`` (also named ``run_instance``) is the one
+per-instance path: it runs the whole phase set ``samples_k`` times and
+majority-votes the normalized answers, k=1 included. It never raises;
+every outcome lands in an ``EvalRecord`` with one failure class.
 
 Guests run through one ``executor.Helper`` per run: ``run_many`` owns it
-for all its instances, and a direct ``run_instance`` or
-``run_self_consistency`` call owns one for its own duration. The helper
-starts on the run's first guest and is closed when the run ends.
+for all its instances, and a direct per-instance call owns one for its
+own duration. The helper starts on the run's first guest and is closed
+when the run ends. ``run_many``'s pool of ``concurrency`` workers is the
+only limit on a run: it runs at most ``concurrency`` guests at once, and
+each worker has at most its sample's auxiliary phases in flight.
 
 Backends that declare ``deterministic`` get their persisted timing fields
 zeroed so a replayed run serializes byte-for-byte.
@@ -31,7 +34,18 @@ from typing import Iterable, Iterator, Optional
 from . import codeproc, executor, prompts, scoring
 from .backend import BackendError
 
-MODES = ("titan", "titan_no_input", "titan_no_steps", "pal_zs")
+# Auxiliary phases of each mode, in transcript order; code generation
+# always follows them.
+_AUX_PHASES = {
+    "titan": (prompts.PHASE_INPUT, prompts.PHASE_STEPS),
+    "titan_no_input": (prompts.PHASE_STEPS,),
+    "titan_no_steps": (prompts.PHASE_INPUT,),
+    "pal_zs": (),
+}
+
+MODES = tuple(_AUX_PHASES)
+
+PHASES_PER_MODE = {mode: len(aux) + 1 for mode, aux in _AUX_PHASES.items()}
 
 FAILURE_CLASSES = (
     "none",
@@ -42,14 +56,6 @@ FAILURE_CLASSES = (
     "mismatch",
     "backend_error",
 )
-
-PHASES_PER_MODE = {
-    "titan": 3,
-    "titan_no_input": 2,
-    "titan_no_steps": 2,
-    "pal_zs": 1,
-}
-
 
 class ConfigError(ValueError):
     """A run configuration value is out of range or inconsistent."""
@@ -141,23 +147,13 @@ def _complete_phase(backend, phase, prompt_text, config, sample_index):
     return _transcript(phase, messages, response)
 
 
-def _auxiliary_phases(mode: str) -> "list[str]":
-    if mode == "titan":
-        return [prompts.PHASE_INPUT, prompts.PHASE_STEPS]
-    if mode == "titan_no_input":
-        return [prompts.PHASE_STEPS]
-    if mode == "titan_no_steps":
-        return [prompts.PHASE_INPUT]
-    return []
-
-
 def _run_sample(
     instance, backend, config: RunConfig, library, sample_index: int, helper
 ) -> _SampleResult:
     result = _SampleResult()
     question = instance.prompt
 
-    aux = _auxiliary_phases(config.mode)
+    aux = _AUX_PHASES[config.mode]
     builders = {
         prompts.PHASE_INPUT: prompts.build_input_extraction,
         prompts.PHASE_STEPS: prompts.build_step_extraction,
@@ -255,48 +251,19 @@ def _zero_timing(record: EvalRecord) -> None:
         record.outcome["wall_ms"] = 0
 
 
-def run_instance(
-    instance, backend, config: RunConfig, library=None, helper=None
-) -> EvalRecord:
-    if library is None:
-        library = prompts.load_templates()
-    config.validate()
-    start = time.monotonic()
-    with executor.helper_scope(helper) as helper:
-        sample = _run_sample(instance, backend, config, library, 0, helper)
-    record = EvalRecord(
-        instance_id=instance.id,
-        dataset=instance.dataset,
-        mode=config.mode,
-        transcripts=sample.transcripts,
-        script=sample.script,
-        outcome=sample.outcome,
-        error=sample.error,
-    )
-    if sample.answer is not None:
-        record.predicted = sample.answer.canonical
-        record.correct = scoring.is_match(
-            sample.answer, instance.gold, case_sensitive=config.case_sensitive
-        )
-        record.failure_class = "none" if record.correct else "mismatch"
-    else:
-        record.failure_class = sample.failure_class
-    record.sample_answers = [record.predicted]
-    record.wall_ms = int((time.monotonic() - start) * 1000)
-    if getattr(backend, "deterministic", False):
-        _zero_timing(record)
-    return record
-
-
 def run_self_consistency(
     instance, backend, config: RunConfig, library=None, helper=None
 ) -> EvalRecord:
+    """Run ``config.samples_k`` samples of ``instance`` and vote on the answers.
+
+    The answer most samples agree on wins; a tie goes to the earliest
+    sample. When no sample yields an answer, the record keeps the first
+    sample's script, outcome and error, and its failure class is that
+    sample's own at k=1 and ``no_answer`` at k>1.
+    """
     if library is None:
         library = prompts.load_templates()
     config.validate()
-    if config.samples_k == 1:
-        return run_instance(instance, backend, config, library, helper)
-
     start = time.monotonic()
     with executor.helper_scope(helper) as helper:
         samples = [
@@ -323,7 +290,9 @@ def run_self_consistency(
         record.script = samples[0].script
         record.outcome = samples[0].outcome
         record.error = samples[0].error
-        record.failure_class = "no_answer"
+        record.failure_class = (
+            samples[0].failure_class if len(samples) == 1 else "no_answer"
+        )
     else:
         best = max(counts.values())
         winner_sample = next(
@@ -342,6 +311,9 @@ def run_self_consistency(
     if getattr(backend, "deterministic", False):
         _zero_timing(record)
     return record
+
+
+run_instance = run_self_consistency
 
 
 def run_many(

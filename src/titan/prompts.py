@@ -11,7 +11,7 @@ optional extracted-inputs clause. Ablation modes drop exactly one clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -49,12 +49,6 @@ class PromptLibrary:
 
     def text(self, name: str) -> str:
         return self.templates[name]
-
-
-@dataclass
-class PromptRequest:
-    phase: str
-    messages: "list[dict]" = field(default_factory=list)
 
 
 def load_templates(templates_dir: Optional[str] = None) -> PromptLibrary:

@@ -777,12 +777,24 @@ def write_jsonl(instances: Iterable[TaskInstance], path) -> int:
 
 
 def read_jsonl(path) -> "list[TaskInstance]":
+    """Load a task file; a bad line raises ``ValueError`` naming ``path:line``."""
     instances = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                instances.append(instance_from_json(json.loads(line)))
+            if not line:
+                continue
+            where = f"{path}:{line_no}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: not valid JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: expected a JSON object")
+            try:
+                instances.append(instance_from_json(record))
+            except KeyError as exc:
+                raise ValueError(f"{where}: missing field {exc}") from None
     return instances
 
 

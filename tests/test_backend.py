@@ -1,9 +1,7 @@
 import json
-import threading
 
 import pytest
 
-from titan import backend as backend_mod
 from titan.backend import (
     BackendConfig,
     BackendError,
@@ -15,7 +13,6 @@ from titan.backend import (
     ScriptedBackend,
     make_backend,
     request_key,
-    set_request_slots,
 )
 
 MSGS = [{"role": "user", "content": "hello"}]
@@ -184,45 +181,6 @@ def test_http_requires_endpoint_and_model():
         HttpBackend(BackendConfig(kind="http", model="m"))
     with pytest.raises(BackendError):
         HttpBackend(BackendConfig(kind="http", endpoint_url="http://x"))
-
-
-def test_global_slots_bound_inflight_requests():
-    set_request_slots(2)
-    try:
-        lock = threading.Lock()
-        state = {"now": 0, "peak": 0}
-        release = threading.Event()
-
-        def transport(url, headers, payload, timeout_s):
-            with lock:
-                state["now"] += 1
-                state["peak"] = max(state["peak"], state["now"])
-            release.wait(timeout=2.0)
-            with lock:
-                state["now"] -= 1
-            return 200, ok_body("ok")
-
-        backend = HttpBackend(http_config(), transport=transport, sleep=lambda s: None)
-        threads = [
-            threading.Thread(target=backend.complete, args=("codegen", MSGS, 0.0))
-            for _ in range(5)
-        ]
-        for t in threads:
-            t.start()
-        import time
-
-        time.sleep(0.2)
-        release.set()
-        for t in threads:
-            t.join()
-        assert state["peak"] <= 2
-    finally:
-        set_request_slots(backend_mod.DEFAULT_REQUEST_SLOTS)
-
-
-def test_set_request_slots_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        set_request_slots(0)
 
 
 # --- replay ------------------------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +195,58 @@ def test_run_resume_skips_finished_instances(tmp_path, library):
     assert manifest["completed"] == 4
 
 
+def test_run_resume_drops_torn_last_line(tmp_path, library, capsys):
+    instances = gen_tasks(tmp_path)
+    replay = build_pal_replay(tmp_path, instances, library)
+    full = tmp_path / "full.jsonl"
+    assert cli.main(run_args(instances, full, replay)) == 0
+
+    torn = tmp_path / "torn.jsonl"
+    lines = full.read_bytes().splitlines(keepends=True)
+    torn.write_bytes(b"".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+    capsys.readouterr()
+    rc = cli.main(run_args(instances, torn, replay, extra=("--resume",)))
+    assert rc == 0
+    assert torn.read_bytes() == full.read_bytes()
+    assert f"{torn}:3" in capsys.readouterr().err
+
+
+def test_run_resume_malformed_inner_line_names_file_and_line(
+    tmp_path, library, capsys
+):
+    instances = gen_tasks(tmp_path)
+    replay = build_pal_replay(tmp_path, instances, library)
+    out = tmp_path / "records.jsonl"
+    assert cli.main(run_args(instances, out, replay)) == 0
+
+    lines = out.read_bytes().splitlines(keepends=True)
+    out.write_bytes(lines[0] + b"{torn\n" + lines[1])
+    before = out.read_bytes()
+    capsys.readouterr()
+    rc = cli.main(run_args(instances, out, replay, extra=("--resume",)))
+    assert rc == 2
+    assert f"{out}:2" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
+def test_run_question_answer_file_is_usage_error(tmp_path, capsys):
+    instances = tmp_path / "qa.jsonl"
+    instances.write_text(json.dumps({"question": "2 + 2?", "answer": "4"}) + "\n")
+    rc = cli.main(run_args(instances, tmp_path / "o.jsonl", tmp_path / "r.jsonl"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{instances}:1" in err and "missing field 'id'" in err
+
+
+def test_run_instances_bad_json_line_is_usage_error(tmp_path, capsys):
+    instances = gen_tasks(tmp_path, count=1)
+    with open(instances, "a") as fh:
+        fh.write("{not json\n")
+    rc = cli.main(run_args(instances, tmp_path / "o.jsonl", tmp_path / "r.jsonl"))
+    assert rc == 1
+    assert f"{instances}:2" in capsys.readouterr().err
+
+
 def test_run_missing_instances_is_usage_error(tmp_path, capsys):
     rc = cli.main(
         run_args(tmp_path / "absent.jsonl", tmp_path / "o.jsonl",
@@ -280,6 +335,27 @@ def test_interrupted_run_keeps_partial_records(tmp_path, library, monkeypatch):
     assert len(out.read_text().strip().splitlines()) == 1
     manifest = json.loads((tmp_path / "records.jsonl.manifest.json").read_text())
     assert manifest["status"] == "interrupted"
+    assert manifest["completed"] == 1
+
+
+def test_crashed_run_marks_manifest_failed(tmp_path, library, monkeypatch):
+    instances = gen_tasks(tmp_path)
+    replay = build_pal_replay(tmp_path, instances, library)
+    out = tmp_path / "records.jsonl"
+
+    real_run_many = pipeline.run_many
+
+    def crashing(instances_arg, backend, config, library=None):
+        iterator = real_run_many(instances_arg, backend, config, library)
+        yield next(iterator)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.pipeline, "run_many", crashing)
+    rc = cli.main(run_args(instances, out, replay))
+    assert rc == 2
+    manifest = json.loads((tmp_path / "records.jsonl.manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["finished_at"] is not None
     assert manifest["completed"] == 1
 
 
@@ -389,3 +465,33 @@ def test_bad_arguments_exit_one(capsys):
 def test_entrypoint_raises_systemexit():
     with pytest.raises(SystemExit):
         cli.entrypoint()
+
+
+# --- README ------------------------------------------------------------
+
+
+def test_readme_commands_and_config_parse(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```(\w*)\n(.*?)```", readme, re.S)
+    parser = cli.build_parser()
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for lang, body in blocks
+        if lang == "sh"
+        for line in body.replace("\\\n", " ").splitlines()
+        if line.startswith("titan ")
+    ]
+    assert len(commands) >= 7
+    for argv in commands:
+        parser.parse_args(argv)
+
+    (config_text,) = [body for lang, body in blocks if lang == "json"]
+    config = tmp_path / "run.json"
+    config.write_text(config_text)
+    file_cfg = cli._load_config_file(str(config))
+    args = parser.parse_args(
+        ["run", "--config", str(config), "--instances", "i", "--out", "o"]
+    )
+    run_config, backend_config, _ = cli._merge(file_cfg, args)
+    assert backend_config.kind == file_cfg["backend_kind"]
+    assert run_config.concurrency == file_cfg["concurrency"]

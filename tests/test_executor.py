@@ -2,7 +2,7 @@ import os
 import time
 
 from titan import executor
-from titan.executor import execute, interpreter_available, set_process_slots
+from titan.executor import execute, interpreter_available
 
 
 def test_ok_run_captures_stdout_and_stderr():
@@ -117,10 +117,3 @@ def test_to_json_dict_omits_workdir(tmp_path):
 def test_interpreter_available():
     assert interpreter_available("python3")
     assert not interpreter_available("definitely-not-a-real-binary")
-
-
-def test_process_slots_resize_round_trip():
-    set_process_slots(1)
-    outcome = execute("print('still works')\n")
-    assert outcome.stdout == "still works\n"
-    set_process_slots(os.cpu_count() or 2)

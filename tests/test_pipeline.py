@@ -1,11 +1,18 @@
 import json
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from titan import pipeline, prompts
-from titan.backend import ReplayBackend, ScriptedBackend, request_key
+from titan.backend import (
+    BackendConfig,
+    HttpBackend,
+    ReplayBackend,
+    ScriptedBackend,
+    request_key,
+)
 from titan.pipeline import (
     MODES,
     PHASES_PER_MODE,
@@ -368,6 +375,35 @@ def test_run_many_preserves_submission_order(tmp_path, library):
         run_many(instances, backend, RunConfig(mode="pal_zs"), library)
     )
     assert [r.to_json_dict() for r in records] == [r.to_json_dict() for r in solo]
+
+
+def test_run_many_concurrency_bounds_inflight_requests(library):
+    # titan mode runs its two auxiliary phases at once, so three workers
+    # put six requests in flight; no other limit may hold any of them back
+    lock = threading.Lock()
+    state = {"now": 0, "peak": 0}
+    all_in = threading.Event()
+
+    def transport(url, headers, payload, timeout_s):
+        with lock:
+            state["now"] += 1
+            state["peak"] = max(state["peak"], state["now"])
+            if state["peak"] == 6:
+                all_in.set()
+        all_in.wait(timeout=5.0)
+        with lock:
+            state["now"] -= 1
+        return 200, json.dumps({"choices": [{"message": {"content": GOOD_SCRIPT}}]})
+
+    backend = HttpBackend(
+        BackendConfig(kind="http", endpoint_url="http://unit.test/v1", model="m"),
+        transport=transport,
+        sleep=lambda s: None,
+    )
+    config = RunConfig(mode="titan", concurrency=3)
+    records = list(run_many([marble_instance()] * 3, backend, config, library))
+    assert state["peak"] == 6
+    assert [r.failure_class for r in records] == ["none"] * 3
 
 
 def test_eval_record_serialization_shape(library):
