@@ -42,7 +42,6 @@ class ChatResponse:
     text: str
     usage: Optional[dict] = None
     latency_ms: int = 0
-    backend_id: str = ""
 
 
 @dataclass
@@ -54,14 +53,6 @@ class BackendConfig:
     timeout_s: float = DEFAULT_TIMEOUT_S
     max_retries: int = DEFAULT_MAX_RETRIES
     replay_path: str = ""
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "BackendConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise BackendError(f"unknown backend config keys: {sorted(unknown)}")
-        return cls(**raw)
 
 
 def request_key(phase: str, messages, temperature: float) -> str:
@@ -98,7 +89,6 @@ class HttpBackend:
         self._transport = transport or self._requests_transport
         self._sleep = sleep
         self._rng = rng or random.Random()
-        self.backend_id = f"http:{config.model}"
 
     @staticmethod
     def _requests_transport(url, headers, payload, timeout_s):
@@ -164,10 +154,7 @@ class HttpBackend:
                 raise BackendError(f"malformed completion body: {exc}") from exc
             latency_ms = int((time.monotonic() - start) * 1000)
             return ChatResponse(
-                text=text,
-                usage=parsed.get("usage"),
-                latency_ms=latency_ms,
-                backend_id=self.backend_id,
+                text=text, usage=parsed.get("usage"), latency_ms=latency_ms
             )
         raise BackendError(
             f"gave up after {attempts} attempts, last error: {last_error}"
@@ -178,7 +165,6 @@ class ReplayBackend:
     """Serve completions from a recorded JSONL file. Misses are errors."""
 
     deterministic = True
-    backend_id = "replay"
 
     def __init__(self, records: "dict[tuple, dict]", path: str = ""):
         self._records = records
@@ -215,10 +201,7 @@ class ReplayBackend:
                 f"key={key[:12]}"
             )
         return ChatResponse(
-            text=record["response_text"],
-            usage=record.get("usage"),
-            latency_ms=0,
-            backend_id=self.backend_id,
+            text=record["response_text"], usage=record.get("usage"), latency_ms=0
         )
 
 
@@ -226,7 +209,6 @@ class ScriptedBackend:
     """Per-phase response queues for tests. Exhaustion is an error."""
 
     deterministic = True
-    backend_id = "scripted"
 
     def __init__(self, responses: "dict[str, list]"):
         self._queues = {phase: list(items) for phase, items in responses.items()}
@@ -242,7 +224,7 @@ class ScriptedBackend:
             item = queue.pop(0)
         if isinstance(item, ChatResponse):
             return item
-        return ChatResponse(text=str(item), backend_id=self.backend_id)
+        return ChatResponse(text=str(item))
 
     def remaining(self, phase: str) -> int:
         with self._lock:
@@ -255,7 +237,6 @@ class RecordingBackend:
     def __init__(self, inner, path):
         self.inner = inner
         self.deterministic = getattr(inner, "deterministic", False)
-        self.backend_id = getattr(inner, "backend_id", "unknown")
         self._path = path
         self._lock = threading.Lock()
 

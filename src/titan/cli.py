@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+import typing
 import uuid
 from typing import Optional
 
@@ -30,13 +31,14 @@ COST_GUARD_REQUESTS = 200
 
 _make_backend = backend_mod.make_backend
 
-_RUN_KEYS = {f.name for f in dataclasses.fields(pipeline.RunConfig)}
-# BackendConfig.kind is spelled backend_kind in config files, after --backend.
-_BACKEND_KEYS = {
-    "backend_kind" if f.name == "kind" else f.name
-    for f in dataclasses.fields(backend_mod.BackendConfig)
+# Config keys and their types. BackendConfig.kind is spelled backend_kind
+# in config files. Each run flag's dest is its config key.
+_RUN_TYPES = typing.get_type_hints(pipeline.RunConfig)
+_BACKEND_TYPES = {
+    "backend_kind" if name == "kind" else name: hint
+    for name, hint in typing.get_type_hints(backend_mod.BackendConfig).items()
 }
-_OTHER_KEYS = {"templates_dir"}
+_KEY_TYPES = {**_RUN_TYPES, **_BACKEND_TYPES, "templates_dir": Optional[str]}
 
 
 class UsageError(Exception):
@@ -60,48 +62,48 @@ def _load_config_file(path: Optional[str]) -> dict:
         raise UsageError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a flat JSON object")
-    unknown = set(raw) - _RUN_KEYS - _BACKEND_KEYS - _OTHER_KEYS
+    unknown = set(raw) - set(_KEY_TYPES)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return raw
 
 
+def _checked(key: str, value):
+    """``value`` as the type of config key ``key``; UsageError if it is not one.
+
+    A bool is not an int, and an int given for a float becomes a float, so
+    ``0`` and ``0.0`` make the same requests.
+    """
+    hint = _KEY_TYPES[key]
+    allowed = typing.get_args(hint) or (hint,)  # Optional[str] -> (str, NoneType)
+    for kind in allowed:
+        if type(value) is kind:
+            return value
+        if kind is float and type(value) is int:
+            return float(value)
+    names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+    raise UsageError(f"config key {key!r} must be {names}, got {json.dumps(value)}")
+
+
 def _merge(file_cfg: dict, args) -> tuple:
     """Config file first, then flags on top. Unset flags are None."""
     merged = dict(file_cfg)
-    flag_map = {
-        "mode": args.mode,
-        "temperature": args.temperature,
-        "samples_k": args.samples,
-        "exec_timeout_s": args.exec_timeout_s,
-        "concurrency": args.concurrency,
-        "case_sensitive": args.case_sensitive,
-        "system_prompt": args.system_prompt,
-        "phase_parallel": (False if args.sequential_phases else None),
-        "backend_kind": args.backend,
-        "endpoint_url": args.endpoint_url,
-        "model": args.model,
-        "api_key_env": args.api_key_env,
-        "timeout_s": args.request_timeout_s,
-        "max_retries": args.max_retries,
-        "replay_path": args.replay,
-        "templates_dir": args.templates_dir,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
+    for key, value in vars(args).items():
+        if key in _KEY_TYPES and value is not None:
             merged[key] = value
+    merged = {key: _checked(key, value) for key, value in merged.items()}
 
-    run_kwargs = {k: merged[k] for k in _RUN_KEYS if k in merged}
+    run_kwargs = {k: v for k, v in merged.items() if k in _RUN_TYPES}
     backend_kwargs = {
-        k if k != "backend_kind" else "kind": merged[k]
-        for k in _BACKEND_KEYS
-        if k in merged
+        k if k != "backend_kind" else "kind": v
+        for k, v in merged.items()
+        if k in _BACKEND_TYPES
     }
     try:
         run_config = pipeline.RunConfig(**run_kwargs)
         run_config.validate()
         backend_config = backend_mod.BackendConfig(**backend_kwargs)
-    except (TypeError, pipeline.ConfigError) as exc:
+    except pipeline.ConfigError as exc:
         raise UsageError(str(exc)) from None
     return run_config, backend_config, merged.get("templates_dir")
 
@@ -115,7 +117,8 @@ def _load_instances(path: str):
         raise UsageError(f"bad instances file: {exc}") from None
 
 
-def _parse_records(path: str, data: bytes) -> "list[dict]":
+def _parse_records(path: str, data: bytes) -> "list[tuple[int, dict]]":
+    """Each record of ``data`` with its line number."""
     records = []
     for line_no, line in enumerate(data.split(b"\n"), start=1):
         if not line.strip():
@@ -126,26 +129,40 @@ def _parse_records(path: str, data: bytes) -> "list[dict]":
             raise ValueError(f"{path}:{line_no}: malformed record: {exc}") from None
         if not isinstance(record, dict):
             raise ValueError(f"{path}:{line_no}: malformed record: not an object")
-        records.append(record)
+        records.append((line_no, record))
     return records
 
 
 def _read_records(path: str) -> "list[dict]":
     with open(path, "rb") as fh:
-        return _parse_records(path, fh.read())
+        return [record for _, record in _parse_records(path, fh.read())]
 
 
-def _resume_records(path: str) -> "list[dict]":
+def _resume_records(path: str, run_config: pipeline.RunConfig) -> "list[dict]":
     """The records a resumed run keeps from its records file.
 
-    A record is written once its newline is. Bytes after the last newline
-    are a record torn by a killed run: they are dropped with a warning and
-    cut from the file, so the next record starts on a line of its own.
+    Every kept record must come from a run of the same mode and sample
+    count, or the resume is refused before the file is touched. A record is
+    written once its newline is. Bytes after the last newline are a record
+    torn by a killed run: they are dropped with a warning and cut from the
+    file, so the next record starts on a line of its own.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     end = data.rfind(b"\n") + 1
     records = _parse_records(path, data[:end])
+    for line_no, record in records:
+        if record.get("mode") != run_config.mode:
+            raise UsageError(
+                f"{path}:{line_no}: mode is {record.get('mode')!r}, but this "
+                f"run's is {run_config.mode!r}"
+            )
+        answers = record.get("sample_answers")
+        if not isinstance(answers, list) or len(answers) != run_config.samples_k:
+            raise UsageError(
+                f"{path}:{line_no}: sample_answers does not hold this run's "
+                f"{run_config.samples_k} sample(s)"
+            )
     if end < len(data):
         line_no = data.count(b"\n") + 1
         print(
@@ -153,7 +170,7 @@ def _resume_records(path: str) -> "list[dict]":
             file=sys.stderr,
         )
         os.truncate(path, end)
-    return records
+    return [record for _, record in records]
 
 
 def _ensure_parent(path: str) -> None:
@@ -236,7 +253,7 @@ def _run_common(args, recording_path: Optional[str]) -> int:
 
     done_ids = set()
     if args.resume and os.path.isfile(out_path):
-        for record in _resume_records(out_path):
+        for record in _resume_records(out_path, run_config):
             done_ids.add(record.get("instance_id"))
     pending = [i for i in instances if i.id not in done_ids]
 
@@ -358,24 +375,22 @@ def _add_run_flags(sub) -> None:
     sub.add_argument("--config", help="flat JSON config file")
     sub.add_argument("--mode", choices=pipeline.MODES)
     sub.add_argument("--temperature", type=float)
-    sub.add_argument("--samples", type=int, help="self-consistency sample count")
+    sub.add_argument(
+        "--samples", type=int, dest="samples_k", help="self-consistency sample count"
+    )
     sub.add_argument("--exec-timeout-s", type=float)
     sub.add_argument("--concurrency", type=int)
     sub.add_argument("--case-sensitive", action="store_true", default=None)
     sub.add_argument("--system-prompt")
-    sub.add_argument(
-        "--sequential-phases",
-        action="store_true",
-        default=None,
-        help="disable concurrent auxiliary phases",
-    )
-    sub.add_argument("--backend", choices=("http", "replay"))
+    sub.add_argument("--backend", choices=("http", "replay"), dest="backend_kind")
     sub.add_argument("--endpoint-url")
     sub.add_argument("--model")
     sub.add_argument("--api-key-env")
-    sub.add_argument("--request-timeout-s", type=float)
+    sub.add_argument("--request-timeout-s", type=float, dest="timeout_s")
     sub.add_argument("--max-retries", type=int)
-    sub.add_argument("--replay", help="replay JSONL to serve completions from")
+    sub.add_argument(
+        "--replay", dest="replay_path", help="replay JSONL to serve completions from"
+    )
     sub.add_argument("--templates-dir")
     sub.add_argument("--resume", action="store_true")
     sub.add_argument("--yes", action="store_true", help="confirm large live runs")

@@ -58,9 +58,6 @@ _CHUNK = 64 * 1024
 _KILL_GRACE_S = 1.0
 _CLOSE_TIMEOUT_S = 5.0
 
-def interpreter_available(interpreter: str = DEFAULT_INTERPRETER) -> bool:
-    return shutil.which(interpreter) is not None
-
 
 @dataclass
 class ExecutionOutcome:

@@ -2,8 +2,8 @@
 
 Modes:
 
-* ``titan``: input extraction and step extraction run first (concurrently
-  when allowed), then code generation consumes both raw outputs.
+* ``titan``: input extraction and step extraction run first, in parallel,
+  then code generation consumes both raw outputs.
 * ``titan_no_input`` / ``titan_no_steps``: ablations that drop exactly one
   of the two auxiliary phases.
 * ``pal_zs``: a single prompt asking for a completed ``solution()``.
@@ -11,7 +11,10 @@ Modes:
 ``run_self_consistency`` (also named ``run_instance``) is the one
 per-instance path: it runs the whole phase set ``samples_k`` times and
 majority-votes the normalized answers, k=1 included. It never raises;
-every outcome lands in an ``EvalRecord`` with one failure class.
+every outcome lands in an ``EvalRecord`` with one failure class. Each
+sample sends its auxiliary phases, whatever their number, through one
+thread pool; their prompts are built on the calling thread, and their
+transcripts are kept in phase order.
 
 Guests run through one ``executor.Helper`` per run: ``run_many`` owns it
 for all its instances, and a direct per-instance call owns one for its
@@ -70,7 +73,6 @@ class RunConfig:
     concurrency: int = 1
     case_sensitive: bool = False
     system_prompt: Optional[str] = None
-    phase_parallel: bool = True
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -158,36 +160,23 @@ def _run_sample(
         prompts.PHASE_INPUT: prompts.build_input_extraction,
         prompts.PHASE_STEPS: prompts.build_step_extraction,
     }
-    aux_out = {}
     try:
-        if len(aux) > 1 and config.phase_parallel:
-            with ThreadPoolExecutor(max_workers=len(aux)) as pool:
-                futures = [
-                    (
-                        phase,
-                        pool.submit(
-                            _complete_phase,
-                            backend,
-                            phase,
-                            builders[phase](question, library),
-                            config,
-                            sample_index,
-                        ),
-                    )
-                    for phase in aux
-                ]
-                # collect in fixed phase order, not completion order, so
-                # transcripts serialize identically to a sequential run
-                for phase, future in futures:
-                    aux_out[phase] = future.result()
-        else:
-            for phase in aux:
-                aux_out[phase] = _complete_phase(
-                    backend, phase, builders[phase](question, library), config,
-                    sample_index,
+        # prompts are built on this thread; only the requests go to the pool
+        aux_prompts = [builders[phase](question, library) for phase in aux]
+        with ThreadPoolExecutor(max_workers=max(len(aux), 1)) as pool:
+            # map yields in phase order, not completion order, and raises
+            # the first failed phase's error in that order
+            aux_transcripts = list(
+                pool.map(
+                    lambda phase, text: _complete_phase(
+                        backend, phase, text, config, sample_index
+                    ),
+                    aux,
+                    aux_prompts,
                 )
-        for phase in aux:
-            result.transcripts.append(aux_out[phase])
+            )
+        result.transcripts.extend(aux_transcripts)
+        aux_out = dict(zip(aux, aux_transcripts))
 
         if config.mode == "pal_zs":
             codegen_prompt = prompts.build_pal_zs(question, library)

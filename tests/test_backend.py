@@ -257,10 +257,3 @@ def test_make_backend_dispatch(tmp_path):
         make_backend(BackendConfig(kind="replay"))
     with pytest.raises(BackendError):
         make_backend(BackendConfig(kind="carrier-pigeon"))
-
-
-def test_backend_config_from_dict_rejects_unknown_keys():
-    config = BackendConfig.from_dict({"kind": "replay", "replay_path": "x"})
-    assert config.replay_path == "x"
-    with pytest.raises(BackendError, match="unknown"):
-        BackendConfig.from_dict({"kind": "replay", "api_key": "sk-leak"})

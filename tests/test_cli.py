@@ -229,6 +229,32 @@ def test_run_resume_malformed_inner_line_names_file_and_line(
     assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (("--mode", "titan"), "mode"),
+        (("--samples", "3", "--temperature", "0.7"), "sample_answers"),
+    ],
+)
+def test_run_resume_refuses_a_different_run(tmp_path, library, capsys, flags, field):
+    instances = gen_tasks(tmp_path)
+    replay = build_pal_replay(tmp_path, instances, library)
+    full = tmp_path / "full.jsonl"
+    assert cli.main(run_args(instances, full, replay)) == 0
+
+    partial = tmp_path / "resumed.jsonl"
+    lines = full.read_bytes().splitlines(keepends=True)
+    partial.write_bytes(b"".join(lines[:3]) + lines[3][:10])
+    before = partial.read_bytes()
+    capsys.readouterr()
+    rc = cli.main(run_args(instances, partial, replay, extra=("--resume", *flags)))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{partial}:1: {field}" in err
+    assert partial.read_bytes() == before
+    assert not (tmp_path / "resumed.jsonl.manifest.json").exists()
+
+
 def test_run_question_answer_file_is_usage_error(tmp_path, capsys):
     instances = tmp_path / "qa.jsonl"
     instances.write_text(json.dumps({"question": "2 + 2?", "answer": "4"}) + "\n")
@@ -285,6 +311,51 @@ def test_run_unknown_config_key_is_usage_error(tmp_path, capsys):
     ])
     assert rc == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw, key, expected",
+    [
+        ({"temperature": "hot"}, "temperature", "float"),
+        ({"concurrency": 2.5}, "concurrency", "int"),
+        ({"concurrency": True}, "concurrency", "int"),
+        ({"system_prompt": 7}, "system_prompt", "str or null"),
+    ],
+)
+def test_run_config_value_of_wrong_type_is_usage_error(
+    tmp_path, library, capsys, raw, key, expected
+):
+    instances = gen_tasks(tmp_path)
+    replay = build_pal_replay(tmp_path, instances, library)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "o.jsonl"
+    rc = cli.main(run_args(instances, out, replay, extra=("--config", str(config))))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert repr(key) in err and f"must be {expected}" in err
+    assert not out.exists()
+
+
+def test_run_config_int_for_float_key_matches_float_flag(tmp_path, library):
+    instances = gen_tasks(tmp_path)
+    replay = build_pal_replay(tmp_path, instances, library)
+    config = tmp_path / "run.json"
+    config.write_text('{"temperature": 0, "system_prompt": null}')
+    from_file = tmp_path / "file.jsonl"
+    from_flag = tmp_path / "flag.jsonl"
+    rc = cli.main(
+        run_args(instances, from_file, replay, extra=("--config", str(config)))
+    )
+    assert rc == 0
+    rc = cli.main(run_args(instances, from_flag, replay, extra=("--temperature", "0")))
+    assert rc == 0
+    assert from_file.read_bytes() == from_flag.read_bytes()
+    assert all(
+        json.loads(line)["correct"] for line in from_file.read_text().splitlines()
+    )
+    manifest = json.loads((tmp_path / "file.jsonl.manifest.json").read_text())
+    assert manifest["config"]["run"]["temperature"] == 0.0
 
 
 def test_run_samples_without_temperature_is_usage_error(tmp_path, capsys):

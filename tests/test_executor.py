@@ -2,7 +2,7 @@ import os
 import time
 
 from titan import executor
-from titan.executor import execute, interpreter_available
+from titan.executor import execute
 
 
 def test_ok_run_captures_stdout_and_stderr():
@@ -112,8 +112,3 @@ def test_to_json_dict_omits_workdir(tmp_path):
     blob = outcome.to_json_dict()
     assert "workdir" not in blob
     assert blob["exit"] == "ok"
-
-
-def test_interpreter_available():
-    assert interpreter_available("python3")
-    assert not interpreter_available("definitely-not-a-real-binary")

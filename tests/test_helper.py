@@ -161,14 +161,13 @@ def test_guest_killing_its_parent_ends_cleanly():
 
 
 def test_guest_killing_the_helper_gets_it_restarted(helper_starts):
-    script = (
-        "import os, signal\n"
-        "with open(f'/proc/{os.getppid()}/stat') as fh:\n"
-        "    helper_pid = int(fh.read().rsplit(')', 1)[1].split()[1])\n"
-        "os.kill(helper_pid, signal.SIGKILL)\n"
-        "print('killed')\n"
-    )
     with Helper() as helper:
+        assert execute("pass\n", helper=helper).exit == "ok"  # starts the helper
+        script = (
+            "import os, signal\n"
+            f"os.kill({helper._proc.pid}, signal.SIGKILL)\n"
+            "print('killed')\n"
+        )
         outcome = execute(script, timeout_s=5.0, helper=helper)
         assert outcome.exit == "ok"
         assert outcome.stdout == "killed\n"

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from titan import pipeline, prompts
 from titan.backend import (
     BackendConfig,
+    BackendError,
     HttpBackend,
     ReplayBackend,
     ScriptedBackend,
     request_key,
 )
+from titan.executor import Helper
 from titan.pipeline import (
     MODES,
     PHASES_PER_MODE,
@@ -92,16 +95,6 @@ def test_codegen_consumes_both_phase_outputs(library):
     codegen_prompt = record.transcripts[-1]["request_messages"][-1]["content"]
     assert "initial_difference = 22" in codegen_prompt
     assert "Calculate the New Difference" in codegen_prompt
-
-
-def test_parallel_and_sequential_phases_match_exactly(library):
-    base = RunConfig(mode="titan")
-    sequential = RunConfig(mode="titan", phase_parallel=False)
-    first = run_instance(marble_instance(), scripted_for("titan"), base, library)
-    second = run_instance(
-        marble_instance(), scripted_for("titan"), sequential, library
-    )
-    assert first.to_json_dict() == second.to_json_dict()
 
 
 # --- ablation isolation ------------------------------------------------
@@ -205,6 +198,23 @@ def test_backend_failure_never_raises(library):
     assert not record.correct
 
 
+def test_failed_phases_report_the_first_in_phase_order(library):
+    class SlowInputFails:
+        deterministic = True
+
+        def complete(self, phase, messages, temperature, sample_index=0):
+            if phase == "input_extraction":
+                time.sleep(0.05)  # fails after step extraction has failed
+            raise BackendError(f"{phase} failed")
+
+    record = run_instance(
+        marble_instance(), SlowInputFails(), RunConfig(mode="titan"), library
+    )
+    assert record.failure_class == "backend_error"
+    assert record.error == "input_extraction failed"
+    assert record.transcripts == []
+
+
 def test_unrepairable_script_skips_execution(library):
     record = run_instance(
         marble_instance(),
@@ -217,16 +227,73 @@ def test_unrepairable_script_skips_execution(library):
     assert record.script["error"] == "unrepairable"
 
 
-@given(st.text(max_size=120))
-@settings(max_examples=30, deadline=None)
-def test_run_instance_never_raises_on_arbitrary_codegen(library, response):
+# Lines of a solution() body: return, print, raise, exit, read stdin or
+# overrun the output cap.
+_BODY_LINES = [
+    "    return 30",
+    "    return 29",
+    "    return [1, 2]",
+    "    return 'yes'",
+    "    return None",
+    "    return 1 / 0",
+    "    raise ValueError('bad')",
+    "    print('x' * 100000)",
+    "    import sys; sys.exit(3)",
+    "    return input()",
+    "print(solution())",
+]
+_CODEGEN_FRAGMENTS = ["```python", "```", "def solution():", "x = ", "\t", "答案是 30"]
+
+_codegen_texts = st.one_of(
+    st.text(max_size=120),
+    # fragments and arbitrary text in any order
+    st.lists(
+        st.one_of(
+            st.sampled_from(_CODEGEN_FRAGMENTS + _BODY_LINES), st.text(max_size=20)
+        ),
+        max_size=10,
+    ).map("\n".join),
+    # a fenced solution() whose body lines are fuzzed
+    st.builds(
+        lambda prose, body, close: (
+            f"{prose}\n```python\ndef solution():\n" + "\n".join(body)
+            + ("\n```" if close else "")
+        ),
+        st.text(max_size=20),
+        st.lists(
+            st.one_of(
+                st.sampled_from(_BODY_LINES),
+                st.text(max_size=20).map("    # {}".format),
+                st.text(max_size=20),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.booleans(),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def shared_helper():
+    with Helper() as helper:
+        yield helper
+
+
+@given(_codegen_texts)
+@settings(max_examples=100, deadline=None)
+def test_run_instance_never_raises_on_arbitrary_codegen(
+    library, shared_helper, codegen
+):
     record = run_instance(
         marble_instance(),
-        scripted_for("pal_zs", codegen=response),
-        RunConfig(mode="pal_zs", exec_timeout_s=3.0),
+        scripted_for("pal_zs", codegen=codegen),
+        RunConfig(mode="pal_zs", exec_timeout_s=2.0),
         library,
+        shared_helper,
     )
     assert record.failure_class in pipeline.FAILURE_CLASSES
+    assert [t["phase"] for t in record.transcripts] == ["codegen"]
 
 
 # --- deterministic timing ----------------------------------------------
