@@ -6,8 +6,8 @@ recorded response by a content hash of (phase, messages, temperature) plus
 the sample index, so a recorded run can be replayed byte-for-byte without
 network access and multi-sample draws stay distinguishable.
 
-Backends that cannot vary between runs set ``deterministic = True``; the
-pipeline uses that flag to zero out wall-clock fields in persisted records.
+Responses carry no timing; the pipeline times each ``complete`` call.
+Backends that cannot vary between runs declare ``deterministic = True``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class ReplayMissError(BackendError):
 class ChatResponse:
     text: str
     usage: Optional[dict] = None
-    latency_ms: int = 0
 
 
 @dataclass
@@ -127,7 +126,6 @@ class HttpBackend:
         headers = self._headers()
         attempts = self.config.max_retries + 1
         last_error = "no attempt made"
-        start = time.monotonic()
         for attempt in range(attempts):
             if attempt:
                 delay = _BACKOFF_BASE_S * (_BACKOFF_FACTOR ** (attempt - 1))
@@ -152,10 +150,7 @@ class HttpBackend:
                 text = parsed["choices"][0]["message"]["content"]
             except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"malformed completion body: {exc}") from exc
-            latency_ms = int((time.monotonic() - start) * 1000)
-            return ChatResponse(
-                text=text, usage=parsed.get("usage"), latency_ms=latency_ms
-            )
+            return ChatResponse(text=text, usage=parsed.get("usage"))
         raise BackendError(
             f"gave up after {attempts} attempts, last error: {last_error}"
         )
@@ -200,9 +195,7 @@ class ReplayBackend:
                 f"no recorded response for phase={phase} sample={sample_index} "
                 f"key={key[:12]}"
             )
-        return ChatResponse(
-            text=record["response_text"], usage=record.get("usage"), latency_ms=0
-        )
+        return ChatResponse(text=record["response_text"], usage=record.get("usage"))
 
 
 class ScriptedBackend:
@@ -236,7 +229,6 @@ class RecordingBackend:
 
     def __init__(self, inner, path):
         self.inner = inner
-        self.deterministic = getattr(inner, "deterministic", False)
         self._path = path
         self._lock = threading.Lock()
 

@@ -6,8 +6,9 @@ deltas), and ``record-replay`` (live run that also captures a replay file).
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 runtime failure.
 Records are flushed line by line so an interrupted run keeps everything it
-finished; the run manifest is a separate file and marks the run
-``interrupted`` in that case, or ``failed`` when the run raised. Secrets
+finished; each record's timing follows it as one line of the sidecar
+``<out>.timing.jsonl``. The run manifest is a separate file and marks the
+run ``interrupted`` in that case, or ``failed`` when the run raised. Secrets
 never live in config files: only the name of the environment variable
 holding the API key does.
 """
@@ -138,19 +139,37 @@ def _read_records(path: str) -> "list[dict]":
         return [record for _, record in _parse_records(path, fh.read())]
 
 
+def _complete_lines(data: bytes) -> bytes:
+    """``data`` up to its last newline: a line is written once its newline is."""
+    return data[: data.rfind(b"\n") + 1]
+
+
+def _cut_torn_line(path: str, data: bytes) -> None:
+    """Cut what follows the last newline of ``path``, whose bytes are ``data``.
+
+    Those bytes are a line torn by a killed run. They are dropped with a
+    warning, so the next line written starts on a line of its own.
+    """
+    end = len(_complete_lines(data))
+    if end < len(data):
+        line_no = data.count(b"\n") + 1
+        print(
+            f"warning: {path}:{line_no}: dropping unterminated last line",
+            file=sys.stderr,
+        )
+        os.truncate(path, end)
+
+
 def _resume_records(path: str, run_config: pipeline.RunConfig) -> "list[dict]":
     """The records a resumed run keeps from its records file.
 
     Every kept record must come from a run of the same mode and sample
-    count, or the resume is refused before the file is touched. A record is
-    written once its newline is. Bytes after the last newline are a record
-    torn by a killed run: they are dropped with a warning and cut from the
-    file, so the next record starts on a line of its own.
+    count, or the resume is refused before the file is touched. A torn last
+    record is then cut from the file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    end = data.rfind(b"\n") + 1
-    records = _parse_records(path, data[:end])
+    records = _parse_records(path, _complete_lines(data))
     for line_no, record in records:
         if record.get("mode") != run_config.mode:
             raise UsageError(
@@ -163,13 +182,7 @@ def _resume_records(path: str, run_config: pipeline.RunConfig) -> "list[dict]":
                 f"{path}:{line_no}: sample_answers does not hold this run's "
                 f"{run_config.samples_k} sample(s)"
             )
-    if end < len(data):
-        line_no = data.count(b"\n") + 1
-        print(
-            f"warning: {path}:{line_no}: dropping unterminated last line",
-            file=sys.stderr,
-        )
-        os.truncate(path, end)
+    _cut_torn_line(path, data)
     return [record for _, record in records]
 
 
@@ -250,11 +263,15 @@ def _run_common(args, recording_path: Optional[str]) -> int:
     out_path = args.out
     _ensure_parent(out_path)
     manifest_path = args.manifest or out_path + ".manifest.json"
+    timing_path = out_path + ".timing.jsonl"
 
     done_ids = set()
     if args.resume and os.path.isfile(out_path):
         for record in _resume_records(out_path, run_config):
             done_ids.add(record.get("instance_id"))
+        if os.path.isfile(timing_path):
+            with open(timing_path, "rb") as fh:
+                _cut_torn_line(timing_path, fh.read())
     pending = [i for i in instances if i.id not in done_ids]
 
     estimated = (
@@ -281,6 +298,7 @@ def _run_common(args, recording_path: Optional[str]) -> int:
         "status": "running",
         "instances_path": os.path.abspath(args.instances),
         "records_path": os.path.abspath(out_path),
+        "timing_path": os.path.abspath(timing_path),
         "replay_recording_path": (
             os.path.abspath(recording_path) if recording_path else None
         ),
@@ -300,7 +318,9 @@ def _run_common(args, recording_path: Optional[str]) -> int:
     file_mode = "a" if (args.resume and done_ids) else "w"
     status = "failed"
     try:
-        with open(out_path, file_mode, encoding="utf-8") as fh:
+        with open(out_path, file_mode, encoding="utf-8") as fh, open(
+            timing_path, file_mode, encoding="utf-8"
+        ) as timing_fh:
             for record in pipeline.run_many(pending, backend, run_config, library):
                 fh.write(
                     json.dumps(
@@ -309,6 +329,8 @@ def _run_common(args, recording_path: Optional[str]) -> int:
                 )
                 fh.write("\n")
                 fh.flush()
+                timing_fh.write(json.dumps(record.timing) + "\n")
+                timing_fh.flush()
                 manifest["completed"] += 1
                 if record.correct:
                     manifest["correct"] += 1

@@ -40,6 +40,8 @@ from typing import Optional
 from . import codeproc
 
 DEFAULT_TIMEOUT_S = 10.0
+# select.poll takes its timeout as a C int of milliseconds
+MAX_TIMEOUT_S = (2**31 - 1) / 1000.0
 DEFAULT_OUTPUT_CAP = 64 * 1024
 DEFAULT_INTERPRETER = "python3"
 
@@ -75,7 +77,6 @@ class ExecutionOutcome:
             "stderr": self.stderr,
             "exit": self.exit,
             "exit_code": self.exit_code,
-            "wall_ms": self.wall_ms,
             "truncated": self.truncated,
         }
 

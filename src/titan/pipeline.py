@@ -23,12 +23,15 @@ when the run ends. ``run_many``'s pool of ``concurrency`` workers is the
 only limit on a run: it runs at most ``concurrency`` guests at once, and
 each worker has at most its sample's auxiliary phases in flight.
 
-Backends that declare ``deterministic`` get their persisted timing fields
-zeroed so a replayed run serializes byte-for-byte.
+Records carry no timing, so a replayed run serializes byte-for-byte
+whichever backend recorded it. The pipeline times each request and each
+instance itself, for every backend, and keeps the figures on the
+record's in-memory ``timing`` dict, which ``to_json_dict`` leaves out.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -79,10 +82,14 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.samples_k < 1:
             raise ConfigError("samples_k must be >= 1")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ConfigError("temperature must be finite and >= 0")
         if self.samples_k > 1 and not self.temperature > 0.0:
             raise ConfigError("samples_k > 1 requires temperature > 0")
-        if not self.exec_timeout_s > 0:
-            raise ConfigError("exec_timeout_s must be positive")
+        if not 0 < self.exec_timeout_s <= executor.MAX_TIMEOUT_S:
+            raise ConfigError(
+                f"exec_timeout_s must be positive and at most {executor.MAX_TIMEOUT_S}"
+            )
         if self.concurrency < 1:
             raise ConfigError("concurrency must be >= 1")
 
@@ -98,9 +105,11 @@ class EvalRecord:
     predicted: Optional[str] = None
     correct: bool = False
     failure_class: str = "none"
-    wall_ms: int = 0
     sample_answers: "list" = field(default_factory=list)
     error: Optional[str] = None
+    # instance_id, wall_ms, latency_ms per transcript and guest_ms per
+    # sample (None where no guest ran), in float ms; never serialized
+    timing: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -113,7 +122,6 @@ class EvalRecord:
             "predicted": self.predicted,
             "correct": self.correct,
             "failure_class": self.failure_class,
-            "wall_ms": self.wall_ms,
             "sample_answers": self.sample_answers,
         }
         if self.error is not None:
@@ -129,24 +137,25 @@ class _SampleResult:
     answer: Optional[scoring.Answer] = None
     failure_class: str = "none"
     error: Optional[str] = None
+    latency_ms: "list[float]" = field(default_factory=list)
+    guest_ms: Optional[float] = None
 
 
-def _transcript(phase: str, messages, response) -> dict:
-    return {
+def _complete_phase(backend, phase, prompt_text, config, sample_index):
+    """The phase's transcript and its request's latency in ms."""
+    messages = prompts.messages_for(prompt_text, system=config.system_prompt)
+    start = time.monotonic()
+    response = backend.complete(
+        phase, messages, config.temperature, sample_index=sample_index
+    )
+    latency_ms = (time.monotonic() - start) * 1000.0
+    transcript = {
         "phase": phase,
         "request_messages": messages,
         "response_text": response.text,
         "usage": response.usage,
-        "latency_ms": response.latency_ms,
     }
-
-
-def _complete_phase(backend, phase, prompt_text, config, sample_index):
-    messages = prompts.messages_for(prompt_text, system=config.system_prompt)
-    response = backend.complete(
-        phase, messages, config.temperature, sample_index=sample_index
-    )
-    return _transcript(phase, messages, response)
+    return transcript, latency_ms
 
 
 def _run_sample(
@@ -166,7 +175,7 @@ def _run_sample(
         with ThreadPoolExecutor(max_workers=max(len(aux), 1)) as pool:
             # map yields in phase order, not completion order, and raises
             # the first failed phase's error in that order
-            aux_transcripts = list(
+            aux_done = list(
                 pool.map(
                     lambda phase, text: _complete_phase(
                         backend, phase, text, config, sample_index
@@ -175,8 +184,10 @@ def _run_sample(
                     aux_prompts,
                 )
             )
-        result.transcripts.extend(aux_transcripts)
-        aux_out = dict(zip(aux, aux_transcripts))
+        for transcript, latency_ms in aux_done:
+            result.transcripts.append(transcript)
+            result.latency_ms.append(latency_ms)
+        aux_out = dict(zip(aux, result.transcripts))
 
         if config.mode == "pal_zs":
             codegen_prompt = prompts.build_pal_zs(question, library)
@@ -187,10 +198,11 @@ def _run_sample(
                 steps=aux_out.get(prompts.PHASE_STEPS, {}).get("response_text"),
                 inputs=aux_out.get(prompts.PHASE_INPUT, {}).get("response_text"),
             )
-        codegen = _complete_phase(
+        codegen, latency_ms = _complete_phase(
             backend, prompts.PHASE_CODEGEN, codegen_prompt, config, sample_index
         )
         result.transcripts.append(codegen)
+        result.latency_ms.append(latency_ms)
     except BackendError as exc:
         result.failure_class = "backend_error"
         result.error = str(exc)
@@ -214,6 +226,7 @@ def _run_sample(
         script.repaired, timeout_s=config.exec_timeout_s, helper=helper
     )
     result.outcome = outcome.to_json_dict()
+    result.guest_ms = outcome.wall_ms
     if outcome.exit == "timeout":
         result.failure_class = "timeout"
         return result
@@ -230,14 +243,6 @@ def _run_sample(
     result.answer = answer
     result.failure_class = "none"
     return result
-
-
-def _zero_timing(record: EvalRecord) -> None:
-    record.wall_ms = 0
-    for transcript in record.transcripts:
-        transcript["latency_ms"] = 0
-    if record.outcome is not None:
-        record.outcome["wall_ms"] = 0
 
 
 def run_self_consistency(
@@ -296,9 +301,12 @@ def run_self_consistency(
             winner_sample.answer, instance.gold, case_sensitive=config.case_sensitive
         )
         record.failure_class = "none" if record.correct else "mismatch"
-    record.wall_ms = int((time.monotonic() - start) * 1000)
-    if getattr(backend, "deterministic", False):
-        _zero_timing(record)
+    record.timing = {
+        "instance_id": instance.id,
+        "wall_ms": (time.monotonic() - start) * 1000.0,
+        "latency_ms": [ms for s in samples for ms in s.latency_ms],
+        "guest_ms": [s.guest_ms for s in samples],
+    }
     return record
 
 

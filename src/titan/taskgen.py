@@ -6,9 +6,6 @@ template carries an oracle: a pure function of the template's fillers that
 computes the gold answer by directly executing the task the prompt
 describes. Generation cycles uniformly over a dataset's templates and is a
 pure function of (dataset, count, rng_seed, corpus).
-
-External benchmark files (math word problems, table questions) are loaded
-through ``load_external`` rather than generated.
 """
 
 from __future__ import annotations
@@ -21,8 +18,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Optional
-
-from . import scoring
 
 DATASETS = ("finding", "counting", "truefalse", "generative")
 
@@ -796,93 +791,3 @@ def read_jsonl(path) -> "list[TaskInstance]":
             except KeyError as exc:
                 raise ValueError(f"{where}: missing field {exc}") from None
     return instances
-
-
-@dataclass
-class LoadResult:
-    instances: "list[TaskInstance]"
-    skipped: int = 0
-    warnings: "list[str]" = field(default_factory=list)
-
-
-def _render_table(table) -> str:
-    if isinstance(table, str):
-        return table
-    return "\n".join(" | ".join(str(cell) for cell in row) for row in table)
-
-
-def _external_gold(answer) -> GroundTruth:
-    text = str(answer).strip()
-    if scoring.normalize(text, "number") is not None and text != "":
-        return GroundTruth("number", text)
-    return GroundTruth("text", text)
-
-
-def load_external(
-    path,
-    format: str = "jsonl",
-    question_field: str = "question",
-    answer_field: str = "answer",
-) -> LoadResult:
-    """Load an external benchmark file into TaskInstances.
-
-    Malformed lines are skipped and reported with their line number; the
-    load always returns whatever parsed cleanly.
-    """
-    if format not in ("jsonl", "penguins_table"):
-        raise ValueError(f"unknown external format {format!r}")
-    result = LoadResult(instances=[])
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                result.skipped += 1
-                result.warnings.append(f"line {line_no}: invalid JSON ({exc.msg})")
-                continue
-            if not isinstance(record, dict):
-                result.skipped += 1
-                result.warnings.append(f"line {line_no}: not a JSON object")
-                continue
-
-            if format == "penguins_table":
-                question = record.get(question_field)
-                answer = record.get(answer_field)
-                table = record.get("table")
-                if question is None or answer is None or table is None:
-                    result.skipped += 1
-                    result.warnings.append(
-                        f"line {line_no}: missing table/question/answer field"
-                    )
-                    continue
-                parts = [_render_table(table)]
-                if record.get("text"):
-                    parts.append(str(record["text"]))
-                parts.append(str(question))
-                prompt = "\n\n".join(parts)
-            else:
-                question = record.get(question_field)
-                answer = record.get(answer_field)
-                if question is None or answer is None:
-                    result.skipped += 1
-                    result.warnings.append(
-                        f"line {line_no}: missing {question_field!r} or {answer_field!r}"
-                    )
-                    continue
-                prompt = str(question)
-
-            digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:8]
-            result.instances.append(
-                TaskInstance(
-                    id=f"ext-{line_no:05d}-{digest}",
-                    dataset="external",
-                    prompt=prompt,
-                    gold=_external_gold(answer),
-                    template_id=None,
-                    seed_params={},
-                )
-            )
-    return result

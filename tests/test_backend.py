@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -206,7 +207,7 @@ def test_record_then_replay_round_trip(tmp_path):
     second = replay.complete("codegen", MSGS, 0.7, sample_index=1)
     assert first.text == "first"
     assert first.usage is None  # absent usage survives the round trip
-    assert first.latency_ms == 0
+    assert dataclasses.asdict(first) == {"text": "first", "usage": None}  # no timing
     assert second.text == "second"
     assert second.usage == {"total_tokens": 11}
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from titan import cli, pipeline, taskgen
-from titan.backend import ScriptedBackend
+from titan.backend import HttpBackend
 from titan import prompts
 
 from conftest import literal_solution_code, write_replay
@@ -40,6 +40,15 @@ def build_pal_replay(tmp_path, instances_path, library):
     replay_path = tmp_path / "replay.jsonl"
     write_replay(replay_path, entries)
     return replay_path
+
+
+def timing_path(out):
+    return Path(f"{out}.timing.jsonl")
+
+
+def timing_ids(out):
+    lines = timing_path(out).read_text().splitlines()
+    return [json.loads(line)["instance_id"] for line in lines]
 
 
 def run_args(instances, out, replay, extra=()):
@@ -155,7 +164,12 @@ def test_run_replay_end_to_end(tmp_path, library, capsys, monkeypatch):
     records = [json.loads(line) for line in out.read_text().strip().splitlines()]
     assert len(records) == 6
     assert all(r["correct"] for r in records)
-    assert all(r["wall_ms"] == 0 for r in records)
+    assert all("wall_ms" not in r for r in records)
+    assert timing_ids(out) == [r["instance_id"] for r in records]
+    for line in timing_path(out).read_text().splitlines():
+        timing = json.loads(line)
+        assert timing["wall_ms"] > 0
+        assert len(timing["latency_ms"]) == len(timing["guest_ms"]) == 1
 
     manifest_path = tmp_path / "records.jsonl.manifest.json"
     manifest = json.loads(manifest_path.read_text())
@@ -163,6 +177,7 @@ def test_run_replay_end_to_end(tmp_path, library, capsys, monkeypatch):
     assert manifest["completed"] == 6
     assert manifest["correct"] == 6
     assert manifest["config"]["backend"]["kind"] == "replay"
+    assert manifest["timing_path"] == str(timing_path(out))
     assert "sk-should-never-appear" not in manifest_path.read_text()
     assert "sk-should-never-appear" not in out.read_text()
 
@@ -195,20 +210,30 @@ def test_run_resume_skips_finished_instances(tmp_path, library):
     assert manifest["completed"] == 4
 
 
-def test_run_resume_drops_torn_last_line(tmp_path, library, capsys):
+def test_run_resume_drops_torn_last_line(tmp_path, library, capsys, monkeypatch):
     instances = gen_tasks(tmp_path)
     replay = build_pal_replay(tmp_path, instances, library)
     full = tmp_path / "full.jsonl"
     assert cli.main(run_args(instances, full, replay)) == 0
 
     torn = tmp_path / "torn.jsonl"
-    lines = full.read_bytes().splitlines(keepends=True)
-    torn.write_bytes(b"".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+    for source, path in ((full, torn), (timing_path(full), timing_path(torn))):
+        lines = source.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+    cut = []
+    cut_torn_line = cli._cut_torn_line
+    monkeypatch.setattr(
+        cli, "_cut_torn_line",
+        lambda path, data: (cut.append(path), cut_torn_line(path, data)),
+    )
     capsys.readouterr()
     rc = cli.main(run_args(instances, torn, replay, extra=("--resume",)))
     assert rc == 0
     assert torn.read_bytes() == full.read_bytes()
-    assert f"{torn}:3" in capsys.readouterr().err
+    assert timing_ids(torn) == timing_ids(full)  # appended after the cut
+    err = capsys.readouterr().err
+    assert f"{torn}:3" in err and f"{timing_path(torn)}:3" in err
+    assert cut == [str(torn), str(timing_path(torn))]  # one cutter for both
 
 
 def test_run_resume_malformed_inner_line_names_file_and_line(
@@ -358,6 +383,34 @@ def test_run_config_int_for_float_key_matches_float_flag(tmp_path, library):
     assert manifest["config"]["run"]["temperature"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "flags, config_text, key",
+    [
+        (("--exec-timeout-s", "inf"), None, "exec_timeout_s"),
+        ((), '{"exec_timeout_s": 1e999}', "exec_timeout_s"),
+        ((), '{"exec_timeout_s": 1e7}', "exec_timeout_s"),
+        (("--temperature", "inf"), None, "temperature"),
+        (("--temperature", "-3"), None, "temperature"),
+    ],
+    ids=["timeout-flag-inf", "timeout-1e999", "timeout-1e7", "temperature-inf",
+         "temperature-negative"],
+)
+def test_run_out_of_range_float_is_usage_error(
+    tmp_path, library, capsys, flags, config_text, key
+):
+    instances = gen_tasks(tmp_path)
+    replay = build_pal_replay(tmp_path, instances, library)
+    if config_text is not None:
+        config = tmp_path / "run.json"
+        config.write_text(config_text)
+        flags = ("--config", str(config))
+    out = tmp_path / "o.jsonl"
+    rc = cli.main(run_args(instances, out, replay, extra=flags))
+    assert rc == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_samples_without_temperature_is_usage_error(tmp_path, capsys):
     instances = gen_tasks(tmp_path)
     rc = cli.main(
@@ -436,11 +489,20 @@ def test_crashed_run_marks_manifest_failed(tmp_path, library, monkeypatch):
 def test_record_replay_captures_and_replays(tmp_path, library, monkeypatch):
     instances = gen_tasks(tmp_path)
     loaded = taskgen.read_jsonl(instances)
-    scripts = [literal_solution_code(inst.gold) for inst in loaded]
+    bodies = iter(
+        json.dumps({
+            "choices": [{"message": {"content": literal_solution_code(inst.gold)}}],
+            "usage": {"total_tokens": 7},
+        })
+        for inst in loaded
+    )
+
+    def transport(url, headers, payload, timeout_s):
+        return 200, next(bodies)  # concurrency 1: requests come in instance order
 
     def fake_make_backend(config):
         assert config.kind == "http"
-        return ScriptedBackend({"codegen": list(scripts)})
+        return HttpBackend(config, transport=transport)
 
     monkeypatch.setattr(cli, "_make_backend", fake_make_backend)
     recorded = tmp_path / "recorded-replay.jsonl"
@@ -459,6 +521,9 @@ def test_record_replay_captures_and_replays(tmp_path, library, monkeypatch):
     rc = cli.main(run_args(instances, second_out, recorded))
     assert rc == 0
     assert second_out.read_bytes() == first_out.read_bytes()
+    records = [json.loads(line) for line in first_out.read_text().splitlines()]
+    assert all(r["correct"] for r in records)
+    assert timing_ids(second_out) == timing_ids(first_out)
 
 
 def test_record_replay_requires_http_backend(tmp_path, capsys):

@@ -107,12 +107,15 @@ def test_tracebacks_do_not_name_the_run_dir(tmp_path):
 
 def test_output_beyond_the_cap_is_drained_in_bounded_memory():
     child = (
-        "import json, resource\n"
+        "import json, re\n"
         "from titan.executor import execute\n"
         "guest = 'import sys\\nfor _ in range(200):\\n'\n"
         "guest += '    sys.stdout.write(\"x\" * 1000000)\\n'\n"
         "outcome = execute(guest, timeout_s=60.0)\n"
-        "rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        # ru_maxrss of a child starts at its parent's peak RSS across fork and
+        # exec, so it would measure the test runner; VmHWM is this process's own
+        "status = open('/proc/self/status').read()\n"
+        "rss_mb = int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)) / 1024\n"
         "print(json.dumps({'exit': outcome.exit, 'truncated': outcome.truncated,\n"
         "    'kept': len(outcome.stdout), 'maxrss_mb': rss_mb}))\n"
     )

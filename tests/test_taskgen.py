@@ -15,7 +15,6 @@ from titan.taskgen import (
     WordCorpus,
     generate,
     instance_from_json,
-    load_external,
     oracle,
     read_jsonl,
     render_prompt,
@@ -271,75 +270,6 @@ def test_instance_from_json_restores_order_free():
     assert inst.gold.order_free
     record["template_id"] = "swap_first_letters_across"
     assert not instance_from_json(record).gold.order_free
-
-
-# --- external loading --------------------------------------------------
-
-
-def test_load_external_jsonl(tmp_path):
-    path = tmp_path / "bench.jsonl"
-    lines = [
-        json.dumps({"question": "What is 2 + 2?", "answer": "4"}),
-        "this is not json",
-        json.dumps({"question": "Who won?", "answer": "Ed"}),
-        json.dumps({"wrong": "fields"}),
-        json.dumps(["not", "an", "object"]),
-    ]
-    path.write_text("\n".join(lines) + "\n")
-    result = load_external(path)
-    assert len(result.instances) == 2
-    assert result.skipped == 3
-    assert len(result.warnings) == 3
-    assert all("line" in w for w in result.warnings)
-    first, second = result.instances
-    assert first.dataset == "external"
-    assert first.gold.kind == "number" and first.gold.value == "4"
-    assert second.gold.kind == "text" and second.gold.value == "Ed"
-    assert first.id != second.id
-
-
-def test_load_external_custom_field_names(tmp_path):
-    path = tmp_path / "alt.jsonl"
-    path.write_text(json.dumps({"input": "How many?", "target": "7"}) + "\n")
-    result = load_external(path, question_field="input", answer_field="target")
-    assert len(result.instances) == 1
-    assert result.instances[0].gold.value == "7"
-
-
-def test_load_external_penguins_table(tmp_path):
-    path = tmp_path / "peng.jsonl"
-    record = {
-        "table": [["name", "age"], ["Louis", "7"]],
-        "text": "We then add a penguin to the table.",
-        "question": "How many penguins are there?",
-        "answer": "5",
-    }
-    path.write_text(json.dumps(record) + "\n")
-    result = load_external(path, format="penguins_table")
-    assert len(result.instances) == 1
-    prompt = result.instances[0].prompt
-    assert prompt.startswith("name | age\nLouis | 7")
-    assert "We then add a penguin to the table." in prompt
-    assert prompt.endswith("How many penguins are there?")
-
-
-def test_load_external_penguins_accepts_string_table(tmp_path):
-    path = tmp_path / "peng.jsonl"
-    record = {
-        "table": "name age\nLouis 7",
-        "question": "How many?",
-        "answer": "1",
-    }
-    path.write_text(json.dumps(record) + "\n")
-    result = load_external(path, format="penguins_table")
-    assert result.instances[0].prompt.startswith("name age\nLouis 7")
-
-
-def test_load_external_unknown_format(tmp_path):
-    path = tmp_path / "x.jsonl"
-    path.write_text("{}\n")
-    with pytest.raises(ValueError):
-        load_external(path, format="csv")
 
 
 def test_ground_truth_defaults():
