@@ -199,29 +199,45 @@ class ReplayBackend:
 
 
 class ScriptedBackend:
-    """Per-phase response queues for tests. Exhaustion is an error."""
+    """Per-phase response queues for tests. Exhaustion is an error.
+
+    A request of sample s takes item ``base + s`` of its phase's queue, so
+    samples that run at once get the items they would get one after
+    another. A sample index already served in the current round starts a
+    new round after the furthest item served. With one sample per instance
+    every request starts a round, which is first-in first-out.
+    """
 
     deterministic = True
 
     def __init__(self, responses: "dict[str, list]"):
         self._queues = {phase: list(items) for phase, items in responses.items()}
+        # phase -> (base, sample indexes served in the current round)
+        self._rounds: "dict[str, tuple[int, frozenset]]" = {}
+        self._served: "dict[str, int]" = {}
         self._lock = threading.Lock()
 
     def complete(
         self, phase: str, messages, temperature: float, sample_index: int = 0
     ) -> ChatResponse:
         with self._lock:
-            queue = self._queues.get(phase)
-            if not queue:
+            queue = self._queues.get(phase, [])
+            base, served = self._rounds.get(phase, (0, frozenset()))
+            if sample_index in served:
+                base, served = base + max(served) + 1, frozenset()
+            if base + sample_index >= len(queue):
                 raise BackendError(f"scripted backend exhausted for phase {phase!r}")
-            item = queue.pop(0)
+            item = queue[base + sample_index]
+            self._rounds[phase] = (base, served | {sample_index})
+            self._served[phase] = self._served.get(phase, 0) + 1
         if isinstance(item, ChatResponse):
             return item
         return ChatResponse(text=str(item))
 
     def remaining(self, phase: str) -> int:
+        """How many of the phase's items no request has taken yet."""
         with self._lock:
-            return len(self._queues.get(phase, []))
+            return len(self._queues.get(phase, [])) - self._served.get(phase, 0)
 
 
 class RecordingBackend:

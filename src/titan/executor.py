@@ -210,8 +210,11 @@ def execute(
     preserves the directory and reports its path on the outcome, for tests
     that inspect what the guest wrote. Without ``helper``, a one-shot
     helper on ``interpreter`` runs the script; a given helper brings its
-    own interpreter.
+    own interpreter. A ``timeout_s`` outside ``(0, MAX_TIMEOUT_S]``, NaN
+    included, raises ``ValueError`` before any helper or directory is made.
     """
+    if not 0 < timeout_s <= MAX_TIMEOUT_S:
+        raise ValueError(f"timeout_s must be in (0, {MAX_TIMEOUT_S}], got {timeout_s}")
     with helper_scope(helper, interpreter) as helper:
         run_dir = tempfile.mkdtemp(prefix="titan-exec-", dir=workdir)
         try:

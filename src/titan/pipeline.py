@@ -11,17 +11,30 @@ Modes:
 ``run_self_consistency`` (also named ``run_instance``) is the one
 per-instance path: it runs the whole phase set ``samples_k`` times and
 majority-votes the normalized answers, k=1 included. It never raises;
-every outcome lands in an ``EvalRecord`` with one failure class. Each
-sample sends its auxiliary phases, whatever their number, through one
-thread pool; their prompts are built on the calling thread, and their
-transcripts are kept in phase order.
+every outcome lands in an ``EvalRecord`` with one failure class. The
+samples run at once and only the vote waits for them: sample 0 on the
+calling thread, samples 1..k-1 on a work pool. A sample builds its
+auxiliary prompts on its own thread, sends the first phase's request
+itself and the others through the same pool, and keeps transcripts and
+errors in phase order. It returns only after every request it sent ended.
+
+A run has two thread pools. ``run_many``'s instance pool of
+``concurrency`` workers (at concurrency 1, the caller's thread) runs
+``run_self_consistency`` once per instance. Its work pool has
+``concurrency * (k*max(len(aux), 1) - 1)`` workers: exactly the most
+sample and phase tasks that the in-flight instances can have
+outstanding, so no task ever queues behind one that waits on it
+(``_work_pool`` gives the argument). A direct per-instance call without
+a pool makes one of ``max(k*max(len(aux), 1) - 1, 1)`` workers for its
+own duration. ``concurrency`` is the only limit on a run: at most
+``concurrency * k`` guests run at once, and at most
+``concurrency * k * max(len(aux), 1)`` requests are in flight, one per
+thread of the two pools.
 
 Guests run through one ``executor.Helper`` per run: ``run_many`` owns it
 for all its instances, and a direct per-instance call owns one for its
 own duration. The helper starts on the run's first guest and is closed
-when the run ends. ``run_many``'s pool of ``concurrency`` workers is the
-only limit on a run: it runs at most ``concurrency`` guests at once, and
-each worker has at most its sample's auxiliary phases in flight.
+when the run ends.
 
 Records carry no timing, so a replayed run serializes byte-for-byte
 whichever backend recorded it. The pipeline times each request and each
@@ -31,9 +44,10 @@ record's in-memory ``timing`` dict, which ``to_json_dict`` leaves out.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -159,7 +173,7 @@ def _complete_phase(backend, phase, prompt_text, config, sample_index):
 
 
 def _run_sample(
-    instance, backend, config: RunConfig, library, sample_index: int, helper
+    instance, backend, config: RunConfig, library, sample_index: int, helper, pool
 ) -> _SampleResult:
     result = _SampleResult()
     question = instance.prompt
@@ -170,20 +184,23 @@ def _run_sample(
         prompts.PHASE_STEPS: prompts.build_step_extraction,
     }
     try:
-        # prompts are built on this thread; only the requests go to the pool
+        # prompts are built on this thread, which sends the first phase's
+        # request itself while the pool sends the others
         aux_prompts = [builders[phase](question, library) for phase in aux]
-        with ThreadPoolExecutor(max_workers=max(len(aux), 1)) as pool:
-            # map yields in phase order, not completion order, and raises
-            # the first failed phase's error in that order
-            aux_done = list(
-                pool.map(
-                    lambda phase, text: _complete_phase(
-                        backend, phase, text, config, sample_index
-                    ),
-                    aux,
-                    aux_prompts,
-                )
-            )
+        futures = [
+            pool.submit(_complete_phase, backend, phase, text, config, sample_index)
+            for phase, text in zip(aux[1:], aux_prompts[1:])
+        ]
+        try:
+            aux_done = [
+                _complete_phase(backend, phase, text, config, sample_index)
+                for phase, text in zip(aux[:1], aux_prompts[:1])
+            ]
+        finally:
+            # no request of this sample outlives it, even when one failed
+            wait(futures)
+        # read in phase order, which raises the first failed phase's error
+        aux_done += [f.result() for f in futures]
         for transcript, latency_ms in aux_done:
             result.transcripts.append(transcript)
             result.latency_ms.append(latency_ms)
@@ -245,25 +262,48 @@ def _run_sample(
     return result
 
 
+def _work_pool(config: RunConfig, instances: int = 1) -> ThreadPoolExecutor:
+    """The pool for the samples and auxiliary phases of ``instances`` at once.
+
+    A sample's thread sends its first auxiliary phase itself, so an
+    in-flight instance has at most k-1 samples and k*(len(aux)-1) phases
+    outstanding here: k*max(len(aux), 1)-1 tasks, one fewer than the
+    requests it can have in flight. A task only ever waits on tasks of its
+    own instance. With a worker for every task that in-flight instances
+    can have outstanding, no task queues behind one that waits on it, so
+    the pool cannot deadlock. Threads start on submit, and only when no
+    started thread is idle.
+    """
+    per_instance = config.samples_k * max(len(_AUX_PHASES[config.mode]), 1) - 1
+    return ThreadPoolExecutor(max_workers=max(instances * per_instance, 1))
+
+
 def run_self_consistency(
-    instance, backend, config: RunConfig, library=None, helper=None
+    instance, backend, config: RunConfig, library=None, helper=None, pool=None
 ) -> EvalRecord:
     """Run ``config.samples_k`` samples of ``instance`` and vote on the answers.
 
-    The answer most samples agree on wins; a tie goes to the earliest
-    sample. When no sample yields an answer, the record keeps the first
-    sample's script, outcome and error, and its failure class is that
-    sample's own at k=1 and ``no_answer`` at k>1.
+    Sample 0 runs on the calling thread; the others, and each sample's
+    auxiliary phases after its first, run on ``pool``, or on a pool made
+    for this call when it is None (see ``_work_pool``). The answer most
+    samples agree on wins; a tie goes to the earliest sample. When no
+    sample yields an answer, the record keeps the first sample's script,
+    outcome and error, and its failure class is that sample's own at k=1
+    and ``no_answer`` at k>1.
     """
     if library is None:
         library = prompts.load_templates()
     config.validate()
     start = time.monotonic()
-    with executor.helper_scope(helper) as helper:
-        samples = [
-            _run_sample(instance, backend, config, library, i, helper)
-            for i in range(config.samples_k)
+    with executor.helper_scope(helper) as helper, (
+        _work_pool(config) if pool is None else contextlib.nullcontext(pool)
+    ) as pool:
+        others = [
+            pool.submit(_run_sample, instance, backend, config, library, i, helper, pool)
+            for i in range(1, config.samples_k)
         ]
+        samples = [_run_sample(instance, backend, config, library, 0, helper, pool)]
+        samples += [f.result() for f in others]
     record = EvalRecord(
         instance_id=instance.id,
         dataset=instance.dataset,
@@ -325,15 +365,18 @@ def run_many(
         library = prompts.load_templates()
     config.validate()
     instances = list(instances)
-    with executor.Helper() as helper:
+    # the work pool closes, waiting for its tasks, before the helper does
+    with executor.Helper() as helper, _work_pool(config, config.concurrency) as work:
         if config.concurrency <= 1:
             for instance in instances:
-                yield run_self_consistency(instance, backend, config, library, helper)
+                yield run_self_consistency(
+                    instance, backend, config, library, helper, work
+                )
             return
         with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
             yield from pool.map(
                 lambda inst: run_self_consistency(
-                    inst, backend, config, library, helper
+                    inst, backend, config, library, helper, work
                 ),
                 instances,
             )

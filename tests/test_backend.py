@@ -70,6 +70,19 @@ def test_scripted_pops_per_phase_in_order():
     assert backend.remaining("codegen") == 0
 
 
+def test_scripted_serves_sample_s_its_item_in_any_order():
+    backend = ScriptedBackend({"codegen": ["a0", "a1", "a2", "b0", "b1"]})
+    texts = [
+        backend.complete("codegen", MSGS, 0.7, sample_index=s).text
+        for s in (2, 0, 1)  # one round of three samples, in any order
+    ]
+    assert texts == ["a2", "a0", "a1"]
+    assert backend.complete("codegen", MSGS, 0.7, sample_index=1).text == "b1"
+    assert backend.remaining("codegen") == 1  # "b0" is not served yet
+    assert backend.complete("codegen", MSGS, 0.7, sample_index=0).text == "b0"
+    assert backend.remaining("codegen") == 0
+
+
 def test_scripted_exhaustion_is_error():
     backend = ScriptedBackend({"codegen": []})
     with pytest.raises(BackendError, match="exhausted"):

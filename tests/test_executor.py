@@ -1,8 +1,11 @@
+import math
 import os
 import time
 
+import pytest
+
 from titan import executor
-from titan.executor import execute
+from titan.executor import Helper, execute
 
 
 def test_ok_run_captures_stdout_and_stderr():
@@ -46,6 +49,15 @@ def test_timeout_kills_spawned_children():
     outcome = execute(script, timeout_s=1.0)
     assert outcome.exit == "timeout"
     assert time.monotonic() - start < 2.5
+
+
+@pytest.mark.parametrize("timeout_s", [1e7, math.inf, math.nan, 0.0])
+def test_out_of_range_timeout_is_rejected_before_any_guest(tmp_path, timeout_s):
+    with Helper() as helper:
+        with pytest.raises(ValueError, match="timeout_s"):
+            execute("print(1)\n", timeout_s=timeout_s, workdir=str(tmp_path), helper=helper)
+        assert helper._proc is None  # no helper was started
+    assert os.listdir(tmp_path) == []  # no run dir was made
 
 
 def test_spawn_error_for_missing_interpreter():

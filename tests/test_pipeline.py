@@ -1,6 +1,8 @@
 import json
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -379,6 +381,25 @@ def test_all_samples_failing_is_no_answer(library):
     assert record.sample_answers == [None, None, None]
 
 
+def test_samples_running_at_once_keep_their_own_answers(library, shared_helper):
+    # more sample threads than cores, switching often: each sample still
+    # gets its own scripted item, and answers stay in sample order
+    answers = [30, 28, 27, 30, 26, 30]
+    config = RunConfig(mode="titan", samples_k=len(answers), temperature=0.7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            record = run_self_consistency(
+                marble_instance(), answers_backend(answers), config, library,
+                shared_helper,
+            )
+            assert record.sample_answers == [str(a) for a in answers]
+            assert record.predicted == "30"
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_k1_delegates_bit_identically(library):
     config = RunConfig(mode="titan", samples_k=1)
     via_sc = run_self_consistency(
@@ -452,9 +473,11 @@ def test_run_many_preserves_submission_order(tmp_path, library):
     assert [r.to_json_dict() for r in records] == [r.to_json_dict() for r in solo]
 
 
-def test_run_many_concurrency_bounds_inflight_requests(library):
-    # titan mode runs its two auxiliary phases at once, so three workers
-    # put six requests in flight; no other limit may hold any of them back
+def _run_to_inflight_peak(library, config, peak):
+    """Run three instances, each request blocking until ``peak`` are in flight.
+
+    Returns the peak reached and the records' failure classes.
+    """
     lock = threading.Lock()
     state = {"now": 0, "peak": 0}
     all_in = threading.Event()
@@ -463,7 +486,7 @@ def test_run_many_concurrency_bounds_inflight_requests(library):
         with lock:
             state["now"] += 1
             state["peak"] = max(state["peak"], state["now"])
-            if state["peak"] == 6:
+            if state["peak"] == peak:
                 all_in.set()
         all_in.wait(timeout=5.0)
         with lock:
@@ -475,10 +498,55 @@ def test_run_many_concurrency_bounds_inflight_requests(library):
         transport=transport,
         sleep=lambda s: None,
     )
-    config = RunConfig(mode="titan", concurrency=3)
     records = list(run_many([marble_instance()] * 3, backend, config, library))
-    assert state["peak"] == 6
-    assert [r.failure_class for r in records] == ["none"] * 3
+    return state["peak"], [r.failure_class for r in records]
+
+
+def test_run_many_concurrency_bounds_inflight_requests(library):
+    # titan mode runs its two auxiliary phases at once, so three workers
+    # put six requests in flight; no other limit may hold any of them back
+    config = RunConfig(mode="titan", concurrency=3)
+    assert _run_to_inflight_peak(library, config, 6) == (6, ["none"] * 3)
+
+
+def test_run_many_runs_every_sample_of_an_instance_at_once(library):
+    # 3 instances x 3 samples x 2 auxiliary phases
+    config = RunConfig(mode="titan", samples_k=3, temperature=0.7, concurrency=3)
+    assert _run_to_inflight_peak(library, config, 18) == (18, ["none"] * 3)
+
+
+def test_sample_returns_only_after_all_its_requests_end(library):
+    release = threading.Event()
+    ended = []
+
+    class StepsBlock:
+        deterministic = True
+
+        def complete(self, phase, messages, temperature, sample_index=0):
+            if phase == "step_extraction":
+                release.wait(timeout=5.0)
+                ended.append(phase)
+            raise BackendError(f"{phase} failed")
+
+    records = []
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        worker = threading.Thread(
+            target=lambda: records.append(
+                run_instance(
+                    marble_instance(), StepsBlock(), RunConfig(mode="titan"),
+                    library, pool=pool,
+                )
+            )
+        )
+        worker.start()
+        worker.join(timeout=0.3)
+        returned_early = not worker.is_alive()
+        release.set()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+    assert not returned_early
+    assert ended == ["step_extraction"]
+    assert records[0].error == "input_extraction failed"
 
 
 def test_eval_record_serialization_shape(library):
