@@ -45,7 +45,7 @@ class ChatResponse:
 
 @dataclass
 class BackendConfig:
-    kind: str = "replay"  # http | replay | scripted
+    kind: str = "replay"  # http | replay
     endpoint_url: str = ""
     model: str = ""
     api_key_env: str = "TITAN_API_KEY"
@@ -161,9 +161,8 @@ class ReplayBackend:
 
     deterministic = True
 
-    def __init__(self, records: "dict[tuple, dict]", path: str = ""):
+    def __init__(self, records: "dict[tuple, dict]"):
         self._records = records
-        self.path = path
 
     @classmethod
     def from_path(cls, path) -> "ReplayBackend":
@@ -183,7 +182,7 @@ class ReplayBackend:
                         f"replay file {path} line {line_no} is malformed: {exc}"
                     ) from exc
                 records[(key, sample_index)] = record
-        return cls(records, path=str(path))
+        return cls(records)
 
     def complete(
         self, phase: str, messages, temperature: float, sample_index: int = 0
@@ -275,6 +274,4 @@ def make_backend(config: BackendConfig):
         if not config.replay_path:
             raise BackendError("replay backend requires replay_path")
         return ReplayBackend.from_path(config.replay_path)
-    if config.kind == "scripted":
-        raise BackendError("scripted backends are constructed directly by tests")
     raise BackendError(f"unknown backend kind {config.kind!r}")

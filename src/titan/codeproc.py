@@ -592,14 +592,6 @@ def repair(
     return script
 
 
-def split_harness(repaired: str) -> "tuple[str, str]":
-    """Split a repaired script back into (body, harness) at the marker."""
-    index = repaired.find(HARNESS_MARKER)
-    if index < 0:
-        return repaired, ""
-    return repaired[:index].rstrip("\n"), repaired[index:]
-
-
 def process_response(response: str) -> GeneratedScript:
     """extract_code + repair in one step, keeping extraction diagnostics."""
     code, method = _extract_with_method(response)

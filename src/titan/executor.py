@@ -7,7 +7,9 @@ kept: no ``-S``). It pre-imports the modules repairs may inject
 cold-starting an interpreter per script. The helper starts on the run's
 first guest and is closed and reaped when the run ends, so guest CPU time
 reaches this process's ``RUSAGE_CHILDREN``; ``_helper.py`` is its main
-program. A bare ``execute(script)`` uses a one-shot helper.
+program. A bare ``execute(script)`` uses a one-shot helper. A helper that
+died, say because a guest killed it, is started again, and a request it
+never started a guest for is sent to the new one once.
 
 Each guest gets a fresh temp working directory holding its script as
 ``main.py``, a new session, stdin on /dev/null, stdout and stderr on pipes
@@ -69,7 +71,6 @@ class ExecutionOutcome:
     exit_code: Optional[int]
     wall_ms: float
     truncated: bool
-    workdir: Optional[str] = None  # set only when the caller kept the dir
 
     def to_json_dict(self) -> dict:
         return {
@@ -90,10 +91,11 @@ def _guest_env() -> dict:
 class Helper:
     """One run's fork server: a warm interpreter that forks every guest.
 
-    The process starts on the first ``launch``, so a run that never reaches
-    a guest starts none. ``close`` (or leaving the ``with`` block) ends it
-    and reaps it. A helper that died, say because a guest killed it, is
-    started again on the next ``launch``. Safe to share between threads.
+    ``interpreter`` is the one place the guests' interpreter is named. The
+    process starts on the first ``launch``, so a run that never reaches a
+    guest starts none. ``close`` (or leaving the ``with`` block) ends it and
+    reaps it. ``replace`` reaps a process the runner saw die, and the next
+    ``launch`` starts a new one. Safe to share between threads.
     """
 
     def __init__(self, interpreter: str = DEFAULT_INTERPRETER):
@@ -108,17 +110,32 @@ class Helper:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def launch(self, run_dir: str, out: int, err: int, status: int) -> None:
-        """Fork a guest for ``run_dir`` writing to the pipe write ends given.
+    def launch(
+        self, run_dir: str, out: int, err: int, status: int
+    ) -> subprocess.Popen:
+        """Ask for a guest for ``run_dir`` writing to the pipe write ends given.
 
-        Raises OSError if the helper cannot be started or reached.
+        Returns the helper process asked. A request that a dead helper
+        refuses is dropped, so, like one that a dying helper lost, it ends
+        with the status pipe closed and no ``pid`` on it. Raises OSError if
+        no helper can be started.
         """
         with self._lock:
-            if self._proc is not None and self._proc.poll() is not None:
-                self._stop()
             if self._proc is None:
                 self._start()
-            socket.send_fds(self._control, [os.fsencode(run_dir)], [out, err, status])
+            with contextlib.suppress(OSError):
+                socket.send_fds(self._control, [os.fsencode(run_dir)], [out, err, status])
+            return self._proc
+
+    def replace(self, dead: subprocess.Popen) -> None:
+        """Reap ``dead`` if it is still the current process.
+
+        Compared by identity, so threads that saw the same process die
+        replace it once.
+        """
+        with self._lock:
+            if self._proc is dead:
+                self._stop()
 
     def close(self) -> None:
         with self._lock:
@@ -159,9 +176,9 @@ class Helper:
         self._proc = self._control = None
 
 
-def helper_scope(helper: Optional[Helper], interpreter: str = DEFAULT_INTERPRETER):
+def helper_scope(helper: Optional[Helper]):
     """Context manager giving ``helper``, or a new one closed on exit if None."""
-    return contextlib.nullcontext(helper) if helper is not None else Helper(interpreter)
+    return contextlib.nullcontext(helper) if helper is not None else Helper()
 
 
 class _Capture:
@@ -197,40 +214,31 @@ def execute(
     script: str,
     timeout_s: float = DEFAULT_TIMEOUT_S,
     output_cap: int = DEFAULT_OUTPUT_CAP,
-    interpreter: str = DEFAULT_INTERPRETER,
-    workdir: Optional[str] = None,
-    keep_dir: bool = False,
     helper: Optional[Helper] = None,
 ) -> ExecutionOutcome:
     """Run ``script`` as a guest forked by ``helper`` and capture its outcome.
 
-    The script lands in a fresh temporary directory (created under
-    ``workdir`` when given) as main.py and runs with that directory as cwd.
-    On timeout the whole process group receives SIGKILL. ``keep_dir``
-    preserves the directory and reports its path on the outcome, for tests
-    that inspect what the guest wrote. Without ``helper``, a one-shot
-    helper on ``interpreter`` runs the script; a given helper brings its
-    own interpreter. A ``timeout_s`` outside ``(0, MAX_TIMEOUT_S]``, NaN
-    included, raises ``ValueError`` before any helper or directory is made.
+    The script lands in a fresh directory under ``tempfile.gettempdir()``
+    as main.py and runs with that directory as cwd; the directory is
+    removed afterwards. On timeout the whole process group receives
+    SIGKILL. Without ``helper``, a one-shot ``Helper()`` runs the script. A
+    ``timeout_s`` outside ``(0, MAX_TIMEOUT_S]``, NaN included, raises
+    ``ValueError`` before any helper or directory is made.
     """
     if not 0 < timeout_s <= MAX_TIMEOUT_S:
         raise ValueError(f"timeout_s must be in (0, {MAX_TIMEOUT_S}], got {timeout_s}")
-    with helper_scope(helper, interpreter) as helper:
-        run_dir = tempfile.mkdtemp(prefix="titan-exec-", dir=workdir)
+    with helper_scope(helper) as helper:
+        run_dir = tempfile.mkdtemp(prefix="titan-exec-")
         try:
             with open(os.path.join(run_dir, SCRIPT_NAME), "w", encoding="utf-8") as fh:
                 fh.write(script)
-            outcome = _run(helper, run_dir, timeout_s, output_cap)
-            if keep_dir:
-                outcome.workdir = run_dir
-            return outcome
+            return _run(helper, run_dir, timeout_s, output_cap)
         finally:
-            if not keep_dir:
-                shutil.rmtree(run_dir, ignore_errors=True)
+            shutil.rmtree(run_dir, ignore_errors=True)
 
 
 def _run(
-    helper: Helper, run_dir: str, timeout_s: float, output_cap: int
+    helper: Helper, run_dir: str, timeout_s: float, output_cap: int, resend: bool = True
 ) -> ExecutionOutcome:
     out_r, out_w = os.pipe()
     err_r, err_w = os.pipe()
@@ -239,7 +247,7 @@ def _run(
     try:
         called = time.monotonic()
         try:
-            helper.launch(run_dir, out_w, err_w, status_w)
+            proc = helper.launch(run_dir, out_w, err_w, status_w)
         except OSError as exc:
             return _spawn_error(str(exc), called)
         finally:
@@ -290,6 +298,11 @@ def _run(
     elif "error" in fields:
         return _spawn_error(fields["error"], started)
     elif "pid" not in fields:
+        # The helper refused or lost the request, so the guest never ran and
+        # sending it once more, on fresh pipes, is safe.
+        if resend:
+            helper.replace(proc)
+            return _run(helper, run_dir, timeout_s, output_cap, resend=False)
         return _spawn_error("the helper exited before starting the guest", started)
     elif "exit" in fields:
         exit_code = os.waitstatus_to_exitcode(int(fields["exit"]))

@@ -11,7 +11,6 @@ optional extracted-inputs clause. Ablation modes drop exactly one clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -43,16 +42,8 @@ class TemplateError(ValueError):
     """A template file is missing or lacks its required placeholder."""
 
 
-@dataclass
-class PromptLibrary:
-    templates: "dict[str, str]"
-
-    def text(self, name: str) -> str:
-        return self.templates[name]
-
-
-def load_templates(templates_dir: Optional[str] = None) -> PromptLibrary:
-    """Load the six template assets, bundled by default.
+def load_templates(templates_dir: Optional[str] = None) -> "dict[str, str]":
+    """Load the six template assets, bundled by default, keyed by file name.
 
     A directory override must supply all six files; partial overlays would
     make a run's prompt set ambiguous.
@@ -76,7 +67,7 @@ def load_templates(templates_dir: Optional[str] = None) -> PromptLibrary:
             if placeholder not in text:
                 raise TemplateError(f"template {name} lacks {placeholder}")
         loaded[name] = text
-    return PromptLibrary(templates=loaded)
+    return loaded
 
 
 def _fill(template: str, **values: str) -> str:
@@ -86,30 +77,30 @@ def _fill(template: str, **values: str) -> str:
     return out
 
 
-def build_input_extraction(question: str, library: PromptLibrary) -> str:
-    return _fill(library.text("input_extraction.txt"), question=question)
+def build_input_extraction(question: str, library: "dict[str, str]") -> str:
+    return _fill(library["input_extraction.txt"], question=question)
 
 
-def build_step_extraction(question: str, library: PromptLibrary) -> str:
-    return _fill(library.text("step_extraction.txt"), question=question)
+def build_step_extraction(question: str, library: "dict[str, str]") -> str:
+    return _fill(library["step_extraction.txt"], question=question)
 
 
 def build_codegen(
     question: str,
-    library: PromptLibrary,
+    library: "dict[str, str]",
     steps: Optional[str] = None,
     inputs: Optional[str] = None,
 ) -> str:
-    parts = [_fill(library.text("codegen_base.txt"), question=question)]
+    parts = [_fill(library["codegen_base.txt"], question=question)]
     if steps is not None:
-        parts.append(_fill(library.text("codegen_steps.txt"), steps=steps.strip()))
+        parts.append(_fill(library["codegen_steps.txt"], steps=steps.strip()))
     if inputs is not None:
-        parts.append(_fill(library.text("codegen_inputs.txt"), inputs=inputs.strip()))
+        parts.append(_fill(library["codegen_inputs.txt"], inputs=inputs.strip()))
     return "\n\n".join(parts)
 
 
-def build_pal_zs(question: str, library: PromptLibrary) -> str:
-    return _fill(library.text("pal_zs.txt"), question=question)
+def build_pal_zs(question: str, library: "dict[str, str]") -> str:
+    return _fill(library["pal_zs.txt"], question=question)
 
 
 def messages_for(prompt_text: str, system: Optional[str] = None) -> "list[dict]":

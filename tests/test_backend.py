@@ -269,5 +269,6 @@ def test_make_backend_dispatch(tmp_path):
     assert isinstance(http, HttpBackend)
     with pytest.raises(BackendError, match="replay_path"):
         make_backend(BackendConfig(kind="replay"))
-    with pytest.raises(BackendError):
-        make_backend(BackendConfig(kind="carrier-pigeon"))
+    for kind in ("scripted", "carrier-pigeon"):
+        with pytest.raises(BackendError, match="unknown backend kind"):
+            make_backend(BackendConfig(kind=kind))

@@ -13,9 +13,17 @@ from titan.codeproc import (
     extract_code,
     process_response,
     repair,
-    split_harness,
 )
 from titan.scoring import RESULT_BEGIN, RESULT_END
+
+
+def split_harness(repaired: str) -> "tuple[str, str]":
+    """Split a repaired script back into (body, harness) at the marker."""
+    index = repaired.find(HARNESS_MARKER)
+    if index < 0:
+        return repaired, ""
+    return repaired[:index].rstrip("\n"), repaired[index:]
+
 
 FIGURE_SCRIPT = """def solution():
     initial_difference = 22

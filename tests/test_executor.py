@@ -1,5 +1,6 @@
 import math
 import os
+import tempfile
 import time
 
 import pytest
@@ -52,16 +53,19 @@ def test_timeout_kills_spawned_children():
 
 
 @pytest.mark.parametrize("timeout_s", [1e7, math.inf, math.nan, 0.0])
-def test_out_of_range_timeout_is_rejected_before_any_guest(tmp_path, timeout_s):
+def test_out_of_range_timeout_is_rejected_before_any_guest(
+    tmp_path, monkeypatch, timeout_s
+):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     with Helper() as helper:
         with pytest.raises(ValueError, match="timeout_s"):
-            execute("print(1)\n", timeout_s=timeout_s, workdir=str(tmp_path), helper=helper)
+            execute("print(1)\n", timeout_s=timeout_s, helper=helper)
         assert helper._proc is None  # no helper was started
     assert os.listdir(tmp_path) == []  # no run dir was made
 
 
 def test_spawn_error_for_missing_interpreter():
-    outcome = execute("print(1)\n", interpreter="definitely-not-a-real-binary")
+    outcome = execute("print(1)\n", helper=Helper("definitely-not-a-real-binary"))
     assert outcome.exit == "spawn_error"
     assert outcome.stderr != ""
     assert outcome.exit_code is None
@@ -95,32 +99,14 @@ def test_stdin_is_closed():
     assert "EOFError" in outcome.stderr
 
 
-def test_runs_are_isolated_and_cleaned_up(tmp_path):
-    home = str(tmp_path)
+def test_runs_are_isolated_and_cleaned_up(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     first = execute(
-        "open('artifact.txt', 'w').write('x')\nprint('made')\n", workdir=home
+        "import os\n"
+        "open('artifact.txt', 'w').write('x')\n"
+        "print(sorted(os.listdir('.')))\n"
     )
-    assert first.exit == "ok"
-    second = execute(
-        "import os\nprint(os.path.exists('artifact.txt'))\n", workdir=home
-    )
+    assert first.stdout == str(["artifact.txt", executor.SCRIPT_NAME]) + "\n"
+    second = execute("import os\nprint(os.path.exists('artifact.txt'))\n")
     assert second.stdout == "False\n"
-    assert os.listdir(home) == []  # both run dirs removed
-
-
-def test_keep_dir_retains_script_and_artifacts(tmp_path):
-    outcome = execute(
-        "open('artifact.txt', 'w').write('x')\n",
-        workdir=str(tmp_path),
-        keep_dir=True,
-    )
-    assert outcome.workdir is not None
-    names = sorted(os.listdir(outcome.workdir))
-    assert names == ["artifact.txt", executor.SCRIPT_NAME]
-
-
-def test_to_json_dict_omits_workdir(tmp_path):
-    outcome = execute("print(1)\n", workdir=str(tmp_path), keep_dir=True)
-    blob = outcome.to_json_dict()
-    assert "workdir" not in blob
-    assert blob["exit"] == "ok"
+    assert os.listdir(tmp_path) == []  # both run dirs removed

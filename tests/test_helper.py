@@ -3,8 +3,11 @@
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 
 import pytest
@@ -94,10 +97,11 @@ def test_guest_cpu_reaches_rusage_children():
 # --- output --------------------------------------------------------------
 
 
-def test_tracebacks_do_not_name_the_run_dir(tmp_path):
+def test_tracebacks_do_not_name_the_run_dir(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     script = "def solution():\n    raise ValueError('boom')\n\nsolution()\n"
-    first = execute(script, workdir=str(tmp_path))
-    second = execute(script, workdir=str(tmp_path))
+    first = execute(script)
+    second = execute(script)
     assert first.exit == second.exit == "nonzero"
     assert first.stderr == second.stderr
     assert 'File "main.py", line 4, in <module>' in first.stderr
@@ -175,5 +179,56 @@ def test_guest_killing_the_helper_gets_it_restarted(helper_starts):
         assert outcome.exit == "ok"
         assert outcome.stdout == "killed\n"
         assert execute("print('next')\n", helper=helper).stdout == "next\n"
+    assert len(helper_starts) == 2
+    assert helper_starts[0].returncode == -9
+
+
+def test_requests_lost_by_a_dying_helper_are_sent_again_to_one_new_helper(
+    helper_starts, monkeypatch
+):
+    with Helper() as helper:
+        assert execute("pass\n", helper=helper).exit == "ok"  # starts the helper
+        pid = helper._proc.pid
+        sent = threading.Semaphore(0)
+        real_launch = Helper.launch
+
+        def launch(self, *args):
+            try:
+                return real_launch(self, *args)
+            finally:
+                sent.release()
+
+        monkeypatch.setattr(Helper, "launch", launch)
+        os.kill(pid, signal.SIGSTOP)  # alive to the runner, but serves nothing
+        outcomes = []
+        runners = [
+            threading.Thread(
+                target=lambda i=i: outcomes.append(
+                    execute(f"print({i})\n", helper=helper)
+                )
+            )
+            for i in range(2)
+        ]
+        for runner in runners:
+            runner.start()
+        for _ in runners:
+            assert sent.acquire(timeout=10.0)
+        os.kill(pid, signal.SIGKILL)  # both requests die unread with the helper
+        for runner in runners:
+            runner.join(20.0)
+        got = sorted((o.exit, o.stdout) for o in outcomes)
+        assert got == [("ok", "0\n"), ("ok", "1\n")]
+    assert len(helper_starts) == 2  # the threads that saw it die replaced it once
+
+
+def test_request_refused_by_a_dead_helper_is_sent_again(helper_starts):
+    with Helper() as helper:
+        assert execute("pass\n", helper=helper).exit == "ok"  # starts the helper
+        pid = helper._proc.pid
+        os.kill(pid, signal.SIGKILL)
+        # dead and its socket closed, but not reaped: the next send is refused
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        outcome = execute("print('ran')\n", helper=helper)
+        assert (outcome.exit, outcome.stdout) == ("ok", "ran\n")
     assert len(helper_starts) == 2
     assert helper_starts[0].returncode == -9

@@ -7,7 +7,6 @@ import pytest
 from titan import prompts, scoring
 from titan.prompts import (
     TEMPLATE_FILES,
-    PromptLibrary,
     TemplateError,
     build_codegen,
     build_input_extraction,
@@ -165,5 +164,5 @@ def test_trailing_newlines_do_not_leak(tmp_path):
 
 def test_library_text_accessor():
     library = load_templates()
-    assert isinstance(library, PromptLibrary)
-    assert "{question}" in library.text("codegen_base.txt")
+    assert isinstance(library, dict)
+    assert "{question}" in library["codegen_base.txt"]
