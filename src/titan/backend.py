@@ -176,7 +176,9 @@ class ReplayBackend:
                     record = json.loads(line)
                     key = record["key"]
                     sample_index = int(record.get("sample_index", 0))
-                    record["response_text"]
+                    text = record["response_text"]
+                    if not isinstance(key, str) or not isinstance(text, str):
+                        raise TypeError("key and response_text must be strings")
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     raise BackendError(
                         f"replay file {path} line {line_no} is malformed: {exc}"

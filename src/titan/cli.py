@@ -118,6 +118,15 @@ def _load_instances(path: str):
         raise UsageError(f"bad instances file: {exc}") from None
 
 
+# Record fields that report and resume read, with the types they accept. A
+# null or absent dataset reports as "external".
+_RECORD_STR_FIELDS = {
+    "dataset": (str, type(None)),
+    "failure_class": str,
+    "instance_id": str,
+}
+
+
 def _parse_records(path: str, data: bytes) -> "list[tuple[int, dict]]":
     """Each record of ``data`` with its line number."""
     records = []
@@ -130,6 +139,11 @@ def _parse_records(path: str, data: bytes) -> "list[tuple[int, dict]]":
             raise ValueError(f"{path}:{line_no}: malformed record: {exc}") from None
         if not isinstance(record, dict):
             raise ValueError(f"{path}:{line_no}: malformed record: not an object")
+        for key, types in _RECORD_STR_FIELDS.items():
+            if key in record and not isinstance(record[key], types):
+                raise ValueError(
+                    f"{path}:{line_no}: malformed record: {key} is not a string"
+                )
         records.append((line_no, record))
     return records
 

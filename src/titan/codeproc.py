@@ -65,34 +65,6 @@ _BARE_NAME_MODULES = {k: v for k, v in _BARE_NAME_MODULES.items() if v}
 
 _FENCE_RE = re.compile(r"^\s{0,3}```+\s*(.*)$")
 
-_STMT_KEYWORDS = (
-    "def ",
-    "class ",
-    "import ",
-    "from ",
-    "return",
-    "if ",
-    "elif ",
-    "else",
-    "for ",
-    "while ",
-    "try",
-    "except",
-    "finally",
-    "with ",
-    "print",
-    "pass",
-    "break",
-    "continue",
-    "assert ",
-    "raise",
-    "global ",
-    "del ",
-    "yield",
-)
-_ASSIGN_RE = re.compile(r"^[A-Za-z_][\w\.\[\]\"' ,]*(=|\+=|-=|\*=|//=|/=|%=)[^=]")
-_CALL_RE = re.compile(r"^[A-Za-z_][\w\.]*\(")
-
 _HEADER_KEYWORDS = (
     "def ",
     "class ",
@@ -106,7 +78,23 @@ _HEADER_KEYWORDS = (
     "finally",
     "with ",
 )
+_STMT_KEYWORDS = _HEADER_KEYWORDS + (
+    "import ",
+    "from ",
+    "return",
+    "print",
+    "pass",
+    "break",
+    "continue",
+    "assert ",
+    "raise",
+    "global ",
+    "del ",
+    "yield",
+)
 _DEDENT_KEYWORDS = ("else", "elif ", "except", "finally")
+_ASSIGN_RE = re.compile(r"^[A-Za-z_][\w\.\[\]\"' ,]*(=|\+=|-=|\*=|//=|/=|%=)[^=]")
+_CALL_RE = re.compile(r"^[A-Za-z_][\w\.]*\(")
 
 
 @dataclass
@@ -245,18 +233,13 @@ def _expand_leading_tabs(code: str) -> "tuple[str, bool]":
     return "\n".join(out), changed
 
 
+def _opens_with(line: str, keywords: "tuple[str, ...]") -> bool:
+    stripped = line.strip()
+    return any(stripped.startswith(k) or stripped == k.strip() + ":" for k in keywords)
+
+
 def _is_header(line: str) -> bool:
-    stripped = line.strip()
-    return stripped.endswith(":") and any(
-        stripped.startswith(k) or stripped == k.strip() + ":" for k in _HEADER_KEYWORDS
-    )
-
-
-def _is_dedent_line(line: str) -> bool:
-    stripped = line.strip()
-    return any(
-        stripped.startswith(k) or stripped == k.strip() + ":" for k in _DEDENT_KEYWORDS
-    )
+    return line.strip().endswith(":") and _opens_with(line, _HEADER_KEYWORDS)
 
 
 def _fix_flush_left_bodies(code: str) -> "tuple[str, bool]":
@@ -282,11 +265,13 @@ def _fix_flush_left_bodies(code: str) -> "tuple[str, bool]":
         if (
             j >= len(lines)
             or lines[j][:1].isspace()
-            or _is_dedent_line(lines[j])
+            or _opens_with(lines[j], _DEDENT_KEYWORDS)
         ):
             continue
         out.extend(lines[i:j])
-        while j < len(lines) and lines[j].strip() and not _is_dedent_line(lines[j]):
+        while j < len(lines) and lines[j].strip():
+            if _opens_with(lines[j], _DEDENT_KEYWORDS):
+                break
             out.append("    " + lines[j])
             j += 1
         changed = True
@@ -294,53 +279,39 @@ def _fix_flush_left_bodies(code: str) -> "tuple[str, bool]":
     return "\n".join(out), changed
 
 
-def _compiles(code: str) -> bool:
+def _parse(code: str) -> Optional[ast.Module]:
+    """Syntax tree of ``code``, or None if it does not compile (not just parse)."""
     try:
-        compile(code, "<script>", "exec")
-        return True
+        tree = ast.parse(code)
+        compile(tree, "<script>", "exec")
     except (SyntaxError, ValueError):
-        return False
-
-
-def _collect_defined_names(tree: ast.Module) -> set:
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        elif isinstance(node, ast.arg):
-            names.add(node.arg)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                names.add((alias.asname or alias.name).split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                names.add(alias.asname or alias.name)
-    return names
-
-
-def _collect_imported_modules(tree: ast.Module) -> set:
-    modules = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                modules.add(alias.name.split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            if node.module:
-                modules.add(node.module.split(".")[0])
-    return modules
+        return None
+    return tree
 
 
 def _missing_import_lines(tree: ast.Module) -> "list[str]":
     """Import statements for allowlisted modules used but never imported."""
-    imported = _collect_imported_modules(tree)
-    defined = _collect_defined_names(tree)
-
+    imported = set()
+    defined = set()
     qualified = set()
     bare_calls = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.arg):
+            defined.add(node.arg)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.add(alias.name.split(".")[0])
+                defined.add((alias.asname or alias.name).split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                imported.add(node.module.split(".")[0])
+            for alias in node.names:
+                defined.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id in _ALLOWED_MODULES:
                 qualified.add(node.value.id)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
@@ -417,16 +388,12 @@ def _required_arity(fn: ast.FunctionDef) -> int:
     return max(required, 0)
 
 
-def _convert_trailing_expression(code: str) -> str:
+def _convert_trailing_expression(code: str, tree: ast.Module) -> str:
     """Rewrite a trailing bare expression (or single-arg print) to a return.
 
     Used only on function-less scripts right before wrapping them, so the
-    wrapper function hands its value to the harness.
+    wrapper function hands its value to the harness. ``tree`` is ``code``'s.
     """
-    try:
-        tree = ast.parse(code)
-    except SyntaxError:
-        return code
     if not tree.body:
         return code
     last = tree.body[-1]
@@ -533,33 +500,32 @@ def repair(
         return script
 
     work = _normalize_newlines(code).strip("\n")
-    work, tabs_fixed = _expand_leading_tabs(work)
-    indent_fixed = tabs_fixed
+    work, indent_fixed = _expand_leading_tabs(work)
 
-    if not _compiles(work):
+    tree = _parse(work)
+    if tree is None:
         fixed, changed = _fix_flush_left_bodies(work)
-        if changed and _compiles(fixed):
-            work = fixed
-            indent_fixed = True
-        else:
+        tree = _parse(fixed) if changed else None
+        if tree is None:
             script.error = ERROR_UNREPAIRABLE
             return script
+        work = fixed
+        indent_fixed = True
     if indent_fixed:
         script.repairs.append("indent_fixed")
 
-    tree = ast.parse(work)
     top_functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
 
     if not top_functions:
-        converted = _convert_trailing_expression(work)
+        converted = _convert_trailing_expression(work, tree)
         wrapped_body = "\n".join(
             "    " + line if line.strip() else line for line in converted.split("\n")
         )
         work = f"def {_WRAPPER_NAME}():\n{wrapped_body}"
-        if not _compiles(work):
+        tree = _parse(work)
+        if tree is None:
             script.error = ERROR_UNREPAIRABLE
             return script
-        tree = ast.parse(work)
         entry_name, call_args = _WRAPPER_NAME, []
         arity = 0
     else:
@@ -580,7 +546,7 @@ def repair(
     import_lines = _missing_import_lines(tree)
     if import_lines:
         work = "\n".join(import_lines) + "\n" + work
-        if not _compiles(work):
+        if _parse(work) is None:
             script.error = ERROR_UNREPAIRABLE
             return script
         script.repairs.append("imports_injected")

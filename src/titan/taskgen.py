@@ -19,6 +19,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
+from .scoring import KINDS
+
 DATASETS = ("finding", "counting", "truefalse", "generative")
 
 MAX_SAMPLER_ATTEMPTS = 1000
@@ -65,7 +67,15 @@ class TaskInstance:
 
 
 def instance_from_json(record: dict) -> TaskInstance:
+    """A missing field raises ``KeyError``, a mistyped one ``ValueError``."""
+    for name in ("id", "dataset", "prompt"):
+        if not isinstance(record[name], str):
+            raise ValueError(f"{name} must be a string")
     template_id = record.get("template_id")
+    if not isinstance(template_id, (str, type(None))):
+        raise ValueError("template_id must be a string or null")
+    if record["gold_kind"] not in KINDS:
+        raise ValueError(f"gold_kind must be one of {', '.join(KINDS)}")
     order_free = bool(template_id and template_id in ORDER_FREE_TEMPLATES)
     return TaskInstance(
         id=record["id"],
@@ -790,4 +800,6 @@ def read_jsonl(path) -> "list[TaskInstance]":
                 instances.append(instance_from_json(record))
             except KeyError as exc:
                 raise ValueError(f"{where}: missing field {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return instances

@@ -240,9 +240,14 @@ def test_replay_miss_is_error(tmp_path):
 
 def test_replay_malformed_line_fails_at_load(tmp_path):
     path = tmp_path / "replay.jsonl"
-    path.write_text('{"key": "deadbeef"}\n')
-    with pytest.raises(BackendError, match="malformed"):
-        ReplayBackend.from_path(path)
+    for line in [
+        '{"key": "deadbeef"}',
+        '{"key": ["a"], "response_text": "x"}',
+        '{"key": "deadbeef", "response_text": 5}',
+    ]:
+        path.write_text(line + "\n")
+        with pytest.raises(BackendError, match="malformed"):
+            ReplayBackend.from_path(path)
 
 
 def test_replay_last_duplicate_wins(tmp_path):

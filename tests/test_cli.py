@@ -254,6 +254,26 @@ def test_run_resume_malformed_inner_line_names_file_and_line(
     assert out.read_bytes() == before
 
 
+def test_run_resume_record_with_list_instance_id_is_malformed(
+    tmp_path, library, capsys
+):
+    instances = gen_tasks(tmp_path)
+    replay = build_pal_replay(tmp_path, instances, library)
+    out = tmp_path / "records.jsonl"
+    assert cli.main(run_args(instances, out, replay)) == 0
+
+    lines = out.read_text().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record["instance_id"] = [record["instance_id"]]
+    out.write_text(lines[0] + json.dumps(record) + "\n")
+    before = out.read_bytes()
+    capsys.readouterr()
+    rc = cli.main(run_args(instances, out, replay, extra=("--resume",)))
+    assert rc == 2
+    assert f"{out}:2: malformed record: instance_id" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
 @pytest.mark.parametrize(
     "flags, field",
     [
@@ -287,6 +307,32 @@ def test_run_question_answer_file_is_usage_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert f"{instances}:1" in err and "missing field 'id'" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("id", ["a"]),
+        ("dataset", 3),
+        ("prompt", None),
+        ("template_id", ["t"]),
+        ("gold_kind", "weird"),
+    ],
+)
+def test_run_instance_field_of_wrong_type_is_usage_error(
+    tmp_path, capsys, field, value
+):
+    instances = gen_tasks(tmp_path, count=2)
+    first, second = instances.read_text().splitlines()
+    bad = json.loads(second)
+    bad[field] = value
+    instances.write_text(first + "\n" + json.dumps(bad) + "\n")
+    out = tmp_path / "o.jsonl"
+    rc = cli.main(run_args(instances, out, tmp_path / "r.jsonl"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{instances}:2: {field}" in err
+    assert not out.exists() and not (tmp_path / "o.jsonl.manifest.json").exists()
 
 
 def test_run_instances_bad_json_line_is_usage_error(tmp_path, capsys):
@@ -582,6 +628,30 @@ def test_report_json_output(tmp_path, capsys):
     assert rc == 0
     parsed = json.loads(out_json.read_text())
     assert parsed["datasets"]["finding"]["accuracy"] == 100.0
+
+
+@pytest.mark.parametrize(
+    "field, value", [("dataset", 3), ("dataset", ["a"]), ("failure_class", ["x"])]
+)
+def test_report_record_field_of_wrong_type_is_malformed(
+    tmp_path, capsys, field, value
+):
+    records = tmp_path / "records.jsonl"
+    write_records(records, [("counting", True, "none")] * 2)
+    lines = records.read_text().splitlines()
+    bad = json.loads(lines[1])
+    bad[field] = value
+    records.write_text(lines[0] + "\n" + json.dumps(bad) + "\n")
+    rc = cli.main(["report", "--records", str(records)])
+    assert rc == 2
+    assert f"{records}:2: malformed record: {field}" in capsys.readouterr().err
+
+
+def test_report_null_dataset_is_external(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    write_records(records, [(None, True, "none")])
+    assert cli.main(["report", "--records", str(records)]) == 0
+    assert "external" in capsys.readouterr().out
 
 
 def test_report_missing_file_is_usage_error(tmp_path, capsys):

@@ -210,6 +210,24 @@ def test_broken_syntax_is_unrepairable():
     assert script.error == ERROR_UNREPAIRABLE
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        "x = 1\nreturn 5",
+        "def solution():\n    nonlocal x\n    return 1",
+        "x = 1\x00\nprint(x)",
+        "from __future__ import annotations\ndef solution():\n    return math.pi",
+    ],
+    ids=["top_level_return", "unbound_nonlocal", "nul_byte", "import_before_future"],
+)
+def test_scripts_only_compile_rejects_are_unrepairable(code):
+    # ast.parse accepts the first two; compile rejects them. The last one
+    # fails only once "import math" lands above its __future__ import.
+    script = process_response(f"```python\n{code}\n```")
+    assert script.error == ERROR_UNREPAIRABLE
+    assert script.repaired is None
+
+
 def test_prose_is_no_code():
     script = process_response("I refuse to write code today.")
     assert script.error == ERROR_NO_CODE
