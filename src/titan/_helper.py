@@ -7,12 +7,14 @@ run dir, with the write ends of its stdout, stderr and status pipes
 attached as file descriptors.
 
 For each request the helper forks a waiter, and the waiter forks the
-guest. The waiter writes ``pid N`` on the status pipe, lets the guest
-start, waits for it and writes ``exit STATUS`` (the raw wait status), or
-``error MESSAGE`` if it could not fork. Every process is waited for by its
-parent, the helper included by the runner, so guest CPU time reaches the
-runner's ``RUSAGE_CHILDREN``. At EOF on the control socket the helper
-reaps its remaining waiters and exits.
+guest. The waiter writes ``pid N`` on the status pipe, then one byte on a
+go pipe that the guest waits on, waits for the guest and writes ``exit
+STATUS`` (the raw wait status), or ``error MESSAGE`` if it could not fork.
+A guest whose waiter died before the go byte exits without running, so a
+request with no ``pid`` never ran its script. Every process is waited for
+by its parent, the helper included by the runner, so guest CPU time
+reaches the runner's ``RUSAGE_CHILDREN``. At EOF on the control socket
+the helper reaps its remaining waiters and exits.
 
 The guest runs in a new session, with the run dir as cwd, stdin on
 /dev/null (the helper's own stdin), stdout and stderr on the pipes and no
@@ -78,16 +80,19 @@ def _waiter(run_dir: str, out: int, err: int, status: int) -> None:
     if pid == 0:
         try:
             os.close(go_write)
-            # Start only once the runner knows the pid: a guest that killed
-            # this waiter first could not be killed on timeout.
-            os.read(go_read, 1)
-            _guest(run_dir, out, err)
+            # Start only on the go byte, once the runner knows the pid: a
+            # guest that killed this waiter first could not be killed on
+            # timeout. At EOF the waiter died before naming the guest, and
+            # the runner, seeing no pid, sends the request again.
+            if os.read(go_read, 1):
+                _guest(run_dir, out, err)
         finally:
             os._exit(1)
     os.close(go_read)
     os.close(out)
     os.close(err)
     os.write(status, b"pid %d\n" % pid)
+    os.write(go_write, b"g")
     os.close(go_write)
     _, wait_status = os.waitpid(pid, 0)
     os.write(status, b"exit %d\n" % wait_status)

@@ -8,6 +8,11 @@ network access and multi-sample draws stay distinguishable.
 
 Responses carry no timing; the pipeline times each ``complete`` call.
 Backends that cannot vary between runs declare ``deterministic = True``.
+Backends that answer from memory, without waiting on anything, declare
+``in_memory = True``: the pipeline then sends a sample's auxiliary phases
+one after another from the sample's own thread, because handing one to a
+pool thread costs more than the answer. A backend that does not declare
+it gets its auxiliary phases sent at once.
 """
 
 from __future__ import annotations
@@ -160,6 +165,7 @@ class ReplayBackend:
     """Serve completions from a recorded JSONL file. Misses are errors."""
 
     deterministic = True
+    in_memory = True
 
     def __init__(self, records: "dict[tuple, dict]"):
         self._records = records
@@ -210,6 +216,7 @@ class ScriptedBackend:
     """
 
     deterministic = True
+    in_memory = True
 
     def __init__(self, responses: "dict[str, list]"):
         self._queues = {phase: list(items) for phase, items in responses.items()}

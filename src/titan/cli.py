@@ -200,6 +200,57 @@ def _resume_records(path: str, run_config: pipeline.RunConfig) -> "list[dict]":
     return [record for _, record in records]
 
 
+# Config keys a resumed run may change, because they cannot change a record.
+_RESUME_FREE_KEYS = {
+    "run": {"concurrency"},
+    "backend": {"timeout_s", "max_retries", "api_key_env"},
+}
+
+
+def _check_resumed_config(path: str, config: dict) -> None:
+    """Refuse to resume the run of manifest ``path`` under another config.
+
+    ``config`` is this run's manifest ``config``. Every key of its ``run``
+    and ``backend`` sections but ``_RESUME_FREE_KEYS`` must hold the value
+    the old manifest has.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(
+            f"cannot read {path}, the manifest of the run to resume: {exc}"
+        ) from None
+    old = manifest.get("config") if isinstance(manifest, dict) else None
+    if not (
+        isinstance(old, dict)
+        and all(isinstance(old.get(section), dict) for section in _RESUME_FREE_KEYS)
+    ):
+        raise UsageError(
+            f"{path}: manifest has no config.run and config.backend objects"
+        )
+    changed = [
+        f"{section}.{key} was {json.dumps(old[section].get(key))}, "
+        f"now {json.dumps(value)}"
+        for section, free in _RESUME_FREE_KEYS.items()
+        for key, value in config[section].items()
+        if key not in free and old[section].get(key) != value
+    ]
+    if changed:
+        raise UsageError(
+            f"{path}: the run to resume had another config: {'; '.join(changed)}"
+        )
+
+
+def _count(tally: dict, record: dict) -> None:
+    """Add serialized ``record`` to ``tally``'s completed, correct and failures."""
+    tally["completed"] += 1
+    tally["correct"] += record.get("correct") is True
+    failure = record.get("failure_class", "none")
+    if failure != "none":
+        tally["failures"][failure] = tally["failures"].get(failure, 0) + 1
+
+
 def _ensure_parent(path: str) -> None:
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
@@ -278,14 +329,21 @@ def _run_common(args, recording_path: Optional[str]) -> int:
     _ensure_parent(out_path)
     manifest_path = args.manifest or out_path + ".manifest.json"
     timing_path = out_path + ".timing.jsonl"
+    config = {
+        "run": dataclasses.asdict(run_config),
+        "backend": dataclasses.asdict(backend_config),
+        "templates_dir": templates_dir,
+    }
 
-    done_ids = set()
+    kept = []
     if args.resume and os.path.isfile(out_path):
-        for record in _resume_records(out_path, run_config):
-            done_ids.add(record.get("instance_id"))
+        if os.path.isfile(manifest_path):
+            _check_resumed_config(manifest_path, config)
+        kept = _resume_records(out_path, run_config)
         if os.path.isfile(timing_path):
             with open(timing_path, "rb") as fh:
                 _cut_torn_line(timing_path, fh.read())
+    done_ids = {record.get("instance_id") for record in kept}
     pending = [i for i in instances if i.id not in done_ids]
 
     estimated = (
@@ -318,40 +376,32 @@ def _run_common(args, recording_path: Optional[str]) -> int:
         ),
         "total_instances": len(instances),
         "skipped_existing": len(instances) - len(pending),
+        # counted over the kept records and this session's
         "completed": 0,
         "correct": 0,
         "failures": {},
-        "config": {
-            "run": dataclasses.asdict(run_config),
-            "backend": dataclasses.asdict(backend_config),
-            "templates_dir": templates_dir,
-        },
+        "config": config,
     }
+    for record in kept:
+        _count(manifest, record)
     _write_manifest(manifest_path, manifest)
+    session = {"completed": 0, "correct": 0, "failures": {}}
 
-    file_mode = "a" if (args.resume and done_ids) else "w"
+    file_mode = "a" if kept else "w"
     status = "failed"
     try:
         with open(out_path, file_mode, encoding="utf-8") as fh, open(
             timing_path, file_mode, encoding="utf-8"
         ) as timing_fh:
             for record in pipeline.run_many(pending, backend, run_config, library):
-                fh.write(
-                    json.dumps(
-                        record.to_json_dict(), sort_keys=True, ensure_ascii=False
-                    )
-                )
+                data = record.to_json_dict()
+                fh.write(json.dumps(data, sort_keys=True, ensure_ascii=False))
                 fh.write("\n")
                 fh.flush()
                 timing_fh.write(json.dumps(record.timing) + "\n")
                 timing_fh.flush()
-                manifest["completed"] += 1
-                if record.correct:
-                    manifest["correct"] += 1
-                if record.failure_class != "none":
-                    manifest["failures"][record.failure_class] = (
-                        manifest["failures"].get(record.failure_class, 0) + 1
-                    )
+                _count(manifest, data)
+                _count(session, data)
         status = "completed"
     except KeyboardInterrupt:
         status = "interrupted"
@@ -362,11 +412,11 @@ def _run_common(args, recording_path: Optional[str]) -> int:
         _write_manifest(manifest_path, manifest)
 
     print(
-        f"{status}: {manifest['completed']}/{len(pending)} instances "
-        f"({manifest['correct']} correct) -> {out_path}"
+        f"{status}: {session['completed']}/{len(pending)} instances "
+        f"({session['correct']} correct) -> {out_path}"
     )
-    if manifest["failures"]:
-        parts = ", ".join(f"{k}={v}" for k, v in sorted(manifest["failures"].items()))
+    if session["failures"]:
+        parts = ", ".join(f"{k}={v}" for k, v in sorted(session["failures"].items()))
         print(f"failures: {parts}")
     return 0 if status == "completed" else 2
 

@@ -16,7 +16,11 @@ samples run at once and only the vote waits for them: sample 0 on the
 calling thread, samples 1..k-1 on a work pool. A sample builds its
 auxiliary prompts on its own thread, sends the first phase's request
 itself and the others through the same pool, and keeps transcripts and
-errors in phase order. It returns only after every request it sent ended.
+errors in phase order. A backend that declares ``in_memory`` (replay,
+scripted) answers faster than a hand-off to a pool thread, so for it the
+sample sends every auxiliary phase itself, in phase order, and the pool
+gets only samples 1..k-1. A sample returns only after every request it
+sent ended.
 
 A run has two thread pools. ``run_many``'s instance pool of
 ``concurrency`` workers (at concurrency 1, the caller's thread) runs
@@ -29,7 +33,8 @@ a pool makes one of ``max(k*max(len(aux), 1) - 1, 1)`` workers for its
 own duration. ``concurrency`` is the only limit on a run: at most
 ``concurrency * k`` guests run at once, and at most
 ``concurrency * k * max(len(aux), 1)`` requests are in flight, one per
-thread of the two pools.
+thread of the two pools; ``concurrency * k`` with an ``in_memory``
+backend.
 
 Guests run through one ``executor.Helper`` per run: ``run_many`` owns it
 for all its instances, and a direct per-instance call owns one for its
@@ -172,6 +177,28 @@ def _complete_phase(backend, phase, prompt_text, config, sample_index):
     return transcript, latency_ms
 
 
+class _Done:
+    """``fn(*args)`` called on this thread, read like a pool's done future.
+
+    ``result()`` returns the call's value or raises its error. Lighter than
+    a ``Future``, which makes a lock that nothing here waits on.
+    """
+
+    __slots__ = ("_value", "_error")
+
+    def __init__(self, fn, *args):
+        self._value = self._error = None
+        try:
+            self._value = fn(*args)
+        except Exception as exc:  # kept for result() to raise, as a pool does
+            self._error = exc
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 def _run_sample(
     instance, backend, config: RunConfig, library, sample_index: int, helper, pool
 ) -> _SampleResult:
@@ -184,24 +211,24 @@ def _run_sample(
         prompts.PHASE_STEPS: prompts.build_step_extraction,
     }
     try:
-        # prompts are built on this thread, which sends the first phase's
-        # request itself while the pool sends the others
-        aux_prompts = [builders[phase](question, library) for phase in aux]
-        futures = [
-            pool.submit(_complete_phase, backend, phase, text, config, sample_index)
-            for phase, text in zip(aux[1:], aux_prompts[1:])
+        # Prompts are built on this thread. A backend that answers in memory
+        # answers faster than a hand-off to the pool, so this thread sends
+        # every phase, in phase order. Otherwise it sends the first while
+        # the pool sends the others.
+        calls = [
+            (backend, phase, builders[phase](question, library), config, sample_index)
+            for phase in aux
         ]
+        here = len(aux) if getattr(backend, "in_memory", False) else 1
+        pooled = [pool.submit(_complete_phase, *call) for call in calls[here:]]
         try:
-            aux_done = [
-                _complete_phase(backend, phase, text, config, sample_index)
-                for phase, text in zip(aux[:1], aux_prompts[:1])
-            ]
+            answered = [_Done(_complete_phase, *call) for call in calls[:here]]
         finally:
             # no request of this sample outlives it, even when one failed
-            wait(futures)
+            wait(pooled)
         # read in phase order, which raises the first failed phase's error
-        aux_done += [f.result() for f in futures]
-        for transcript, latency_ms in aux_done:
+        # before any transcript is kept
+        for transcript, latency_ms in [f.result() for f in answered + pooled]:
             result.transcripts.append(transcript)
             result.latency_ms.append(latency_ms)
         aux_out = dict(zip(aux, result.transcripts))
@@ -271,8 +298,10 @@ def _work_pool(config: RunConfig, instances: int = 1) -> ThreadPoolExecutor:
     requests it can have in flight. A task only ever waits on tasks of its
     own instance. With a worker for every task that in-flight instances
     can have outstanding, no task queues behind one that waits on it, so
-    the pool cannot deadlock. Threads start on submit, and only when no
-    started thread is idle.
+    the pool cannot deadlock. The size is an upper bound: threads start on
+    submit, and only when no started thread is idle. A sample of an
+    ``in_memory`` backend submits no phase, so a run on one at k=1 starts
+    no thread here at all.
     """
     per_instance = config.samples_k * max(len(_AUX_PHASES[config.mode]), 1) - 1
     return ThreadPoolExecutor(max_workers=max(instances * per_instance, 1))
@@ -284,12 +313,12 @@ def run_self_consistency(
     """Run ``config.samples_k`` samples of ``instance`` and vote on the answers.
 
     Sample 0 runs on the calling thread; the others, and each sample's
-    auxiliary phases after its first, run on ``pool``, or on a pool made
-    for this call when it is None (see ``_work_pool``). The answer most
-    samples agree on wins; a tie goes to the earliest sample. When no
-    sample yields an answer, the record keeps the first sample's script,
-    outcome and error, and its failure class is that sample's own at k=1
-    and ``no_answer`` at k>1.
+    auxiliary phases after its first unless the backend is ``in_memory``,
+    run on ``pool``, or on a pool made for this call when it is None (see
+    ``_work_pool``). The answer most samples agree on wins; a tie goes to
+    the earliest sample. When no sample yields an answer, the record keeps
+    the first sample's script, outcome and error, and its failure class is
+    that sample's own at k=1 and ``no_answer`` at k>1.
     """
     if library is None:
         library = prompts.load_templates()

@@ -207,7 +207,7 @@ def test_run_resume_skips_finished_instances(tmp_path, library):
 
     manifest = json.loads((tmp_path / "resumed.jsonl.manifest.json").read_text())
     assert manifest["skipped_existing"] == 2
-    assert manifest["completed"] == 4
+    assert manifest["completed"] == 6  # the 2 kept records and this session's 4
 
 
 def test_run_resume_drops_torn_last_line(tmp_path, library, capsys, monkeypatch):
@@ -298,6 +298,78 @@ def test_run_resume_refuses_a_different_run(tmp_path, library, capsys, flags, fi
     assert f"{partial}:1: {field}" in err
     assert partial.read_bytes() == before
     assert not (tmp_path / "resumed.jsonl.manifest.json").exists()
+
+
+def _cut_run(tmp_path, library, keep=3):
+    """A finished replayed run whose records file is cut after ``keep`` lines."""
+    instances = gen_tasks(tmp_path)
+    replay = build_pal_replay(tmp_path, instances, library)
+    out = tmp_path / "records.jsonl"
+    assert cli.main(run_args(instances, out, replay)) == 0
+    full = out.read_bytes()
+    out.write_bytes(b"".join(full.splitlines(keepends=True)[:keep]))
+    return instances, replay, out, full
+
+
+def test_run_resume_refuses_a_config_the_old_manifest_does_not_hold(
+    tmp_path, library, capsys
+):
+    instances, replay, out, _ = _cut_run(tmp_path, library)
+    manifest_path = tmp_path / "records.jsonl.manifest.json"
+    before = out.read_bytes(), manifest_path.read_bytes()
+    capsys.readouterr()
+    flags = ("--resume", "--temperature", "0.5", "--exec-timeout-s", "3")
+    rc = cli.main(run_args(instances, out, replay, extra=flags))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(manifest_path) in err
+    assert "run.temperature" in err and "run.exec_timeout_s" in err
+    assert "run.mode" not in err
+    assert (out.read_bytes(), manifest_path.read_bytes()) == before
+
+
+def test_run_resume_ignores_keys_that_cannot_change_a_record(tmp_path, library):
+    instances, replay, out, full = _cut_run(tmp_path, library)
+    flags = (
+        "--resume", "--concurrency", "2", "--request-timeout-s", "5",
+        "--max-retries", "1", "--api-key-env", "OTHER_KEY",
+    )
+    assert cli.main(run_args(instances, out, replay, extra=flags)) == 0
+    assert out.read_bytes() == full
+
+
+@pytest.mark.parametrize("text", ["{torn", "[]", '{"config": {"run": []}}'])
+def test_run_resume_unreadable_manifest_names_the_file(
+    tmp_path, library, capsys, text
+):
+    instances, replay, out, _ = _cut_run(tmp_path, library)
+    manifest_path = tmp_path / "records.jsonl.manifest.json"
+    manifest_path.write_text(text)
+    before = out.read_bytes()
+    capsys.readouterr()
+    rc = cli.main(run_args(instances, out, replay, extra=("--resume",)))
+    assert rc == 1
+    assert str(manifest_path) in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert manifest_path.read_text() == text
+
+
+def test_run_resume_counts_kept_records_in_the_manifest(tmp_path, library, capsys):
+    instances, replay, out, full = _cut_run(tmp_path, library)
+    lines = out.read_text().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    record.update(correct=False, failure_class="mismatch")
+    out.write_text(json.dumps(record, sort_keys=True) + "\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    assert cli.main(run_args(instances, out, replay, extra=("--resume",))) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("completed: 3/3 instances (3 correct)")
+    assert "failures:" not in printed  # the summary counts this session only
+    manifest = json.loads((tmp_path / "records.jsonl.manifest.json").read_text())
+    assert manifest["skipped_existing"] == 3
+    assert manifest["completed"] == 6
+    assert manifest["correct"] == 5
+    assert manifest["failures"] == {"mismatch": 1}
 
 
 def test_run_question_answer_file_is_usage_error(tmp_path, capsys):

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from titan import executor
+from titan import _helper, executor
 from titan.backend import ScriptedBackend
 from titan.executor import Helper, execute
 from titan.pipeline import RunConfig, run_many
@@ -165,6 +165,30 @@ def test_guest_killing_its_parent_ends_cleanly():
         assert outcome.exit_code is None
         assert outcome.stdout == "still here\n"
         assert execute("print('next')\n", helper=helper).stdout == "next\n"
+
+
+def test_guest_of_a_waiter_that_died_before_naming_it_never_runs(tmp_path):
+    marker = tmp_path / "ran"
+    (tmp_path / _helper.SCRIPT).write_text(f"open({str(marker)!r}, 'w').close()\n")
+    out_r, out_w = os.pipe()
+    err_r, err_w = os.pipe()
+    status_r, status_w = os.pipe()
+    os.close(status_r)  # writing `pid` raises BrokenPipeError
+    waiter = os.fork()
+    if waiter == 0:
+        try:
+            os.close(out_r)
+            os.close(err_r)
+            _helper._waiter(str(tmp_path), out_w, err_w, status_w)
+        finally:
+            os._exit(0)
+    for fd in (out_w, err_w, status_w):
+        os.close(fd)
+    os.waitpid(waiter, 0)
+    with os.fdopen(out_r, "rb") as out, os.fdopen(err_r, "rb") as err:
+        assert out.read() == b""  # EOF once the guest is gone
+        err.read()
+    assert not marker.exists()
 
 
 def test_guest_killing_the_helper_gets_it_restarted(helper_starts):

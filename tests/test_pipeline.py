@@ -13,6 +13,7 @@ from titan.backend import (
     BackendConfig,
     BackendError,
     HttpBackend,
+    RecordingBackend,
     ReplayBackend,
     ScriptedBackend,
     request_key,
@@ -547,6 +548,73 @@ def test_sample_returns_only_after_all_its_requests_end(library):
     assert not returned_early
     assert ended == ["step_extraction"]
     assert records[0].error == "input_extraction failed"
+
+
+def test_in_memory_backend_sends_every_phase_from_the_sample_thread(
+    tmp_path, library, monkeypatch
+):
+    path = tmp_path / "replay.jsonl"
+    recording = RecordingBackend(scripted_for("titan"), path)
+    expected = run_instance(marble_instance(), recording, RunConfig(), library)
+
+    threads = []
+
+    class WatchedReplay(ReplayBackend):
+        def complete(self, phase, messages, temperature, sample_index=0):
+            threads.append((phase, threading.current_thread()))
+            return super().complete(phase, messages, temperature, sample_index)
+
+    pools, submits = [], []
+    work_pool = pipeline._work_pool
+
+    def spied_pool(config, instances=1):
+        pool = work_pool(config, instances)
+        submit = pool.submit
+        pool.submit = lambda *args: (submits.append(args), submit(*args))[1]
+        pools.append(pool)
+        return pool
+
+    monkeypatch.setattr(pipeline, "_work_pool", spied_pool)
+    backend = WatchedReplay.from_path(path)
+    records = list(run_many([marble_instance()], backend, RunConfig(), library))
+    assert [r.to_json_dict() for r in records] == [expected.to_json_dict()]
+    assert len(pools) == 1
+    assert submits == []
+    assert not pools[0]._threads  # no pool thread ever started
+    me = threading.current_thread()
+    assert threads == [
+        ("input_extraction", me), ("step_extraction", me), ("codegen", me)
+    ]
+
+
+def test_in_memory_failed_phase_still_sends_the_later_phases(library):
+    class InputFailsFirst(ScriptedBackend):
+        failed = False
+
+        def complete(self, phase, messages, temperature, sample_index=0):
+            if phase == "input_extraction" and not self.failed:
+                self.failed = True
+                raise BackendError("input_extraction failed")
+            return super().complete(phase, messages, temperature, sample_index)
+
+    backend = InputFailsFirst(
+        {
+            "input_extraction": ["initial_difference = 22\ndoug_lost = 8"],
+            "step_extraction": ["steps of instance 1", "steps of instance 2"],
+            "codegen": [GOOD_SCRIPT],
+        }
+    )
+    assert backend.in_memory
+    first, second = run_many([marble_instance()] * 2, backend, RunConfig(), library)
+    assert first.failure_class == "backend_error"
+    assert first.error == "input_extraction failed"
+    assert first.transcripts == []
+    assert [t["response_text"] for t in second.transcripts[:2]] == [
+        "initial_difference = 22\ndoug_lost = 8",
+        "steps of instance 2",
+    ]
+    assert second.correct
+    assert backend.remaining("step_extraction") == 0
 
 
 def test_eval_record_serialization_shape(library):
