@@ -59,11 +59,15 @@ class BackendConfig:
     replay_path: str = ""
 
 
+# json.dumps(..., sort_keys=True, ensure_ascii=False), without building an
+# encoder on every call; encode keeps no state between calls, so threads
+# share it
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def request_key(phase: str, messages, temperature: float) -> str:
-    blob = json.dumps(
-        {"phase": phase, "messages": messages, "temperature": temperature},
-        sort_keys=True,
-        ensure_ascii=False,
+    blob = _ENCODER.encode(
+        {"phase": phase, "messages": messages, "temperature": temperature}
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -269,7 +273,7 @@ class RecordingBackend:
             "response_text": response.text,
             "usage": response.usage,
         }
-        line = json.dumps(record, sort_keys=True, ensure_ascii=False)
+        line = _ENCODER.encode(record)
         with self._lock:
             with open(self._path, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")

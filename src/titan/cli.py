@@ -42,8 +42,30 @@ _BACKEND_TYPES = {
 _KEY_TYPES = {**_RUN_TYPES, **_BACKEND_TYPES, "templates_dir": Optional[str]}
 
 
+# json.dumps(..., sort_keys=True, ensure_ascii=False) for record lines,
+# without building an encoder for every record
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 class UsageError(Exception):
     pass
+
+
+def _say(text: str) -> None:
+    """Print ``text`` to stdout, silencing stdout once its reader is gone.
+
+    A closed pipe (``titan report | head -1``) then costs the command
+    nothing: it ends with its own exit code. Following the note on SIGPIPE
+    in the Python docs, stdout is pointed at /dev/null, so the flush at
+    interpreter exit does not fail again.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,9 +232,9 @@ _RESUME_FREE_KEYS = {
 def _check_resumed_config(path: str, config: dict) -> None:
     """Refuse to resume the run of manifest ``path`` under another config.
 
-    ``config`` is this run's manifest ``config``. Every key of its ``run``
-    and ``backend`` sections but ``_RESUME_FREE_KEYS`` must hold the value
-    the old manifest has.
+    ``config`` is this run's manifest ``config``. Its ``templates_dir``
+    and every key of its ``run`` and ``backend`` sections but
+    ``_RESUME_FREE_KEYS`` must hold the value the old manifest has.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -236,6 +258,11 @@ def _check_resumed_config(path: str, config: dict) -> None:
         for key, value in config[section].items()
         if key not in free and old[section].get(key) != value
     ]
+    if old.get("templates_dir") != config["templates_dir"]:
+        changed.append(
+            f"templates_dir was {json.dumps(old.get('templates_dir'))}, "
+            f"now {json.dumps(config['templates_dir'])}"
+        )
     if changed:
         raise UsageError(
             f"{path}: the run to resume had another config: {'; '.join(changed)}"
@@ -296,9 +323,9 @@ def cmd_gen(args) -> int:
             per_template[instance.template_id] = (
                 per_template.get(instance.template_id, 0) + 1
             )
-        print(f"{dataset}: {len(instances)} instances -> {out_path}")
+        _say(f"{dataset}: {len(instances)} instances -> {out_path}")
         for template_id in taskgen.DATASET_TEMPLATES[dataset]:
-            print(f"  {template_id}: {per_template.get(template_id, 0)}")
+            _say(f"  {template_id}: {per_template.get(template_id, 0)}")
     return 0
 
 
@@ -395,8 +422,7 @@ def _run_common(args, recording_path: Optional[str]) -> int:
         ) as timing_fh:
             for record in pipeline.run_many(pending, backend, run_config, library):
                 data = record.to_json_dict()
-                fh.write(json.dumps(data, sort_keys=True, ensure_ascii=False))
-                fh.write("\n")
+                fh.write(_RECORD_ENCODER.encode(data) + "\n")
                 fh.flush()
                 timing_fh.write(json.dumps(record.timing) + "\n")
                 timing_fh.flush()
@@ -411,13 +437,13 @@ def _run_common(args, recording_path: Optional[str]) -> int:
         manifest["finished_at"] = _now_iso()
         _write_manifest(manifest_path, manifest)
 
-    print(
+    _say(
         f"{status}: {session['completed']}/{len(pending)} instances "
         f"({session['correct']} correct) -> {out_path}"
     )
     if session["failures"]:
         parts = ", ".join(f"{k}={v}" for k, v in sorted(session["failures"].items()))
-        print(f"failures: {parts}")
+        _say(f"failures: {parts}")
     return 0 if status == "completed" else 2
 
 
@@ -442,12 +468,12 @@ def cmd_report(args) -> int:
             raise UsageError(f"baseline file not found: {args.baseline}")
         baseline_report = scoring.aggregate(_read_records(args.baseline))
     report = scoring.aggregate(records, baseline=baseline_report)
-    print(scoring.render_table(report))
     if args.out:
         _ensure_parent(args.out)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+    _say(scoring.render_table(report))
     return 0
 
 

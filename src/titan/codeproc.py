@@ -340,17 +340,18 @@ def _missing_import_lines(tree: ast.Module) -> "list[str]":
 def _literal_call_args(tree: ast.Module, entry_name: str) -> "Optional[list[str]]":
     """Positional literal args from an existing call of the entry function.
 
-    Calls inside the entry function itself are skipped (recursion would
-    hand back the recursive step's arguments, not the problem's).
+    The search is breadth-first, in ``ast.walk`` order: the shallowest call
+    wins, and at one depth mostly the earliest in the source. The
+    entry function (the last top-level def of ``entry_name``) is never
+    entered, since recursion would hand back the recursive step's
+    arguments, not the problem's; an earlier def of the same name is
+    searched like any other code. The first call of ``entry_name`` whose
+    arguments are all positional literals decides, however many there are.
     """
     entry_node = None
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name == entry_name:
             entry_node = node
-    inside_entry = set()
-    if entry_node is not None:
-        for node in ast.walk(entry_node):
-            inside_entry.add(id(node))
 
     def is_literal(node: ast.AST) -> bool:
         if isinstance(node, ast.Constant):
@@ -366,9 +367,10 @@ def _literal_call_args(tree: ast.Module, entry_name: str) -> "Optional[list[str]
             )
         return False
 
-    for node in ast.walk(tree):
-        if id(node) in inside_entry:
-            continue
+    todo = collections.deque(node for node in tree.body if node is not entry_node)
+    while todo:
+        node = todo.popleft()
+        todo.extend(ast.iter_child_nodes(node))
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)

@@ -225,7 +225,8 @@ def _run_sample(
             answered = [_Done(_complete_phase, *call) for call in calls[:here]]
         finally:
             # no request of this sample outlives it, even when one failed
-            wait(pooled)
+            if pooled:
+                wait(pooled)
         # read in phase order, which raises the first failed phase's error
         # before any transcript is kept
         for transcript, latency_ms in [f.result() for f in answered + pooled]:

@@ -1,6 +1,10 @@
 import json
+import os
 import re
 import shlex
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -325,6 +329,24 @@ def test_run_resume_refuses_a_config_the_old_manifest_does_not_hold(
     assert str(manifest_path) in err
     assert "run.temperature" in err and "run.exec_timeout_s" in err
     assert "run.mode" not in err
+    assert (out.read_bytes(), manifest_path.read_bytes()) == before
+
+
+def test_run_resume_refuses_other_templates(tmp_path, library, capsys):
+    instances, replay, out, _ = _cut_run(tmp_path, library)
+    templates = tmp_path / "templates"
+    shutil.copytree(Path(prompts.__file__).parent / "templates", templates)
+    pal_zs = templates / "pal_zs.txt"
+    pal_zs.write_text(pal_zs.read_text() + "Briefly.\n")
+    manifest_path = tmp_path / "records.jsonl.manifest.json"
+    before = out.read_bytes(), manifest_path.read_bytes()
+    capsys.readouterr()
+    flags = ("--resume", "--templates-dir", str(templates))
+    rc = cli.main(run_args(instances, out, replay, extra=flags))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(manifest_path) in err
+    assert f"templates_dir was null, now {json.dumps(str(templates))}" in err
     assert (out.read_bytes(), manifest_path.read_bytes()) == before
 
 
@@ -729,6 +751,45 @@ def test_report_null_dataset_is_external(tmp_path, capsys):
 def test_report_missing_file_is_usage_error(tmp_path, capsys):
     rc = cli.main(["report", "--records", str(tmp_path / "absent.jsonl")])
     assert rc == 1
+
+
+# --- a reader that has gone away ----------------------------------------
+
+
+def titan_with_closed_stdout(argv, cwd):
+    """Run ``python -m titan argv`` with stdout on a pipe nobody reads."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "titan", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, cwd=cwd, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+
+
+def test_report_to_a_closed_stdout_still_writes_its_file(tmp_path):
+    records = tmp_path / "records.jsonl"
+    records.write_text("")
+    proc = titan_with_closed_stdout(
+        ["report", "--records", str(records), "--out", "r.json"], tmp_path
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads((tmp_path / "r.json").read_text())["datasets"] == {}
+
+
+def test_run_to_a_closed_stdout_exits_with_its_own_code(tmp_path, library):
+    instances = gen_tasks(tmp_path)
+    replay = build_pal_replay(tmp_path, instances, library)
+    expected = tmp_path / "expected.jsonl"
+    assert cli.main(run_args(instances, expected, replay)) == 0
+    out = tmp_path / "records.jsonl"
+    proc = titan_with_closed_stdout(run_args(instances, out, replay), tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_bytes() == expected.read_bytes()
 
 
 # --- parser behaviour --------------------------------------------------

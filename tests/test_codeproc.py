@@ -175,6 +175,48 @@ def test_missing_arguments_is_an_error():
     assert script.repaired is None
 
 
+def test_shallowest_outside_call_gives_the_arguments():
+    # breadth-first: the top-level call wins over an earlier one nested in an
+    # ``if``, and the entry's own recursive call is never looked at
+    script = repair(
+        "def solution(a, b):\n"
+        "    if a > 9:\n"
+        "        return solution(a - 1, b)\n"
+        "    return a + b\n\n"
+        "if True:\n"
+        "    solution(1, 2)\n"
+        "solution(3, 4)\n"
+    )
+    assert script.error is None
+    assert script.entry == ("solution", 2)
+    assert "__titan_capture(lambda: solution(3, 4))" in split_harness(script.repaired)[1]
+
+
+def test_recursive_call_alone_gives_no_arguments():
+    script = repair(
+        "def solution(a, b):\n"
+        "    if a <= 0:\n"
+        "        return b\n"
+        "    return solution(0, 5)\n"
+    )
+    assert script.error == ERROR_NEEDS_ARGUMENTS
+    assert script.entry == ("solution", 2)
+
+
+def test_first_literal_call_decides_even_with_too_few_arguments():
+    # only the last def of the entry's name is skipped; the earlier one's
+    # body is searched, and its one-argument call comes first
+    script = repair(
+        "def solution(a):\n"
+        "    return solution(9)\n\n"
+        "def solution(a, b):\n"
+        "    return a + b\n\n"
+        "print(solution(1, 2))\n"
+    )
+    assert script.error == ERROR_NEEDS_ARGUMENTS
+    assert script.entry == ("solution", 2)
+
+
 def test_defaulted_parameters_need_no_arguments():
     script = process_response(
         "```python\ndef solution(a=1, b=2):\n    return a + b\n```"
