@@ -59,14 +59,25 @@ class BackendConfig:
     replay_path: str = ""
 
 
-# json.dumps(..., sort_keys=True, ensure_ascii=False), without building an
-# encoder on every call; encode keeps no state between calls, so threads
-# share it
-_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+def _canonical_encoder():
+    """``json.dumps(obj, sort_keys=True, ensure_ascii=False)``, built once."""
+    py = json.JSONEncoder(sort_keys=True, ensure_ascii=False, check_circular=False)
+    if json.encoder.c_make_encoder is None:
+        return py.encode
+    c = json.encoder.c_make_encoder(
+        None, py.default, json.encoder.encode_basestring, None,
+        ": ", ", ", True, False, True,
+    )
+    return lambda obj: "".join(c(obj, 0))
+
+
+# The one JSON form of every key titan hashes and line it writes. It keeps no
+# markers, so a circular value raises RecursionError.
+canonical = _canonical_encoder()
 
 
 def request_key(phase: str, messages, temperature: float) -> str:
-    blob = _ENCODER.encode(
+    blob = canonical(
         {"phase": phase, "messages": messages, "temperature": temperature}
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -273,7 +284,7 @@ class RecordingBackend:
             "response_text": response.text,
             "usage": response.usage,
         }
-        line = _ENCODER.encode(record)
+        line = canonical(record)
         with self._lock:
             with open(self._path, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")

@@ -27,6 +27,7 @@ from typing import Optional
 
 from . import backend as backend_mod
 from . import pipeline, prompts, scoring, taskgen
+from .backend import canonical
 
 COST_GUARD_REQUESTS = 200
 
@@ -40,11 +41,6 @@ _BACKEND_TYPES = {
     for name, hint in typing.get_type_hints(backend_mod.BackendConfig).items()
 }
 _KEY_TYPES = {**_RUN_TYPES, **_BACKEND_TYPES, "templates_dir": Optional[str]}
-
-
-# json.dumps(..., sort_keys=True, ensure_ascii=False) for record lines,
-# without building an encoder for every record
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
 
 
 class UsageError(Exception):
@@ -362,14 +358,16 @@ def _run_common(args, recording_path: Optional[str]) -> int:
         "templates_dir": templates_dir,
     }
 
-    kept = []
+    kept, timed = [], 0
     if args.resume and os.path.isfile(out_path):
         if os.path.isfile(manifest_path):
             _check_resumed_config(manifest_path, config)
         kept = _resume_records(out_path, run_config)
         if os.path.isfile(timing_path):
             with open(timing_path, "rb") as fh:
-                _cut_torn_line(timing_path, fh.read())
+                sidecar = fh.read()
+            _cut_torn_line(timing_path, sidecar)
+            timed = _complete_lines(sidecar).count(b"\n")
     done_ids = {record.get("instance_id") for record in kept}
     pending = [i for i in instances if i.id not in done_ids]
 
@@ -420,11 +418,16 @@ def _run_common(args, recording_path: Optional[str]) -> int:
         with open(out_path, file_mode, encoding="utf-8") as fh, open(
             timing_path, file_mode, encoding="utf-8"
         ) as timing_fh:
+            # line i of the sidecar times record i, also after a killed run
+            for record in kept[timed:]:
+                untimed = dict.fromkeys(("guest_ms", "latency_ms", "wall_ms"))
+                untimed["instance_id"] = record.get("instance_id")
+                timing_fh.write(canonical(untimed) + "\n")
             for record in pipeline.run_many(pending, backend, run_config, library):
                 data = record.to_json_dict()
-                fh.write(_RECORD_ENCODER.encode(data) + "\n")
+                fh.write(canonical(data) + "\n")
                 fh.flush()
-                timing_fh.write(json.dumps(record.timing) + "\n")
+                timing_fh.write(canonical(record.timing) + "\n")
                 timing_fh.flush()
                 _count(manifest, data)
                 _count(session, data)

@@ -19,6 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
+from .backend import canonical
 from .scoring import KINDS
 
 DATASETS = ("finding", "counting", "truefalse", "generative")
@@ -715,10 +716,8 @@ def oracle(template_id: str, seed_params: dict) -> GroundTruth:
 
 
 def _instance_id(dataset: str, template_id: str, seed_params: dict) -> str:
-    blob = json.dumps(
-        {"dataset": dataset, "template_id": template_id, "seed_params": seed_params},
-        sort_keys=True,
-        ensure_ascii=False,
+    blob = canonical(
+        {"dataset": dataset, "template_id": template_id, "seed_params": seed_params}
     )
     return f"{dataset}-{hashlib.sha256(blob.encode('utf-8')).hexdigest()[:12]}"
 
@@ -773,10 +772,7 @@ def write_jsonl(instances: Iterable[TaskInstance], path) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for instance in instances:
-            fh.write(
-                json.dumps(instance.to_json_dict(), sort_keys=True, ensure_ascii=False)
-            )
-            fh.write("\n")
+            fh.write(canonical(instance.to_json_dict()) + "\n")
             count += 1
     return count
 

@@ -1,7 +1,12 @@
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from titan import backend
 
 from titan.backend import (
     BackendConfig,
@@ -57,6 +62,43 @@ def test_request_key_is_content_addressed():
     assert key != request_key("input_extraction", MSGS, 0.0)
     assert key != request_key("codegen", [{"role": "user", "content": "bye"}], 0.0)
     assert len(key) == 64
+
+
+# Control characters, quotes, escapes, non-ASCII and astral code points
+TRICKY_TEXT = st.text() | st.text(alphabet="\x00\x1f\x7f\n\t\"\\/é\u2028€😀")
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e308, -1e308, 5e-324])
+    | TRICKY_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(TRICKY_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
+@given(value=JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_canonical_is_sorted_json_dumps(accelerated, value):
+    expected = json.dumps(value, sort_keys=True, ensure_ascii=False)
+    if accelerated:
+        assert json.encoder.c_make_encoder is not None
+        assert backend.canonical(value) == expected
+        return
+    with mock.patch.object(json.encoder, "c_make_encoder", None):
+        canonical = backend._canonical_encoder()
+        assert isinstance(canonical.__self__, json.JSONEncoder)  # the fallback
+        assert canonical(value) == expected
+
+
+def test_request_key_bytes_are_pinned():
+    # replay files recorded by earlier versions must keep hitting
+    key = request_key("codegen", [{"role": "user", "content": "héllo {x}"}], 0.7)
+    assert key == "a25c0b47b3c09049c6fb030bc0e5d433d19867271642e809071ba6b003b165fe"
 
 
 # --- scripted ----------------------------------------------------------

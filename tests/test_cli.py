@@ -240,6 +240,33 @@ def test_run_resume_drops_torn_last_line(tmp_path, library, capsys, monkeypatch)
     assert cut == [str(torn), str(timing_path(torn))]  # one cutter for both
 
 
+def test_run_resume_fills_the_sidecar_line_a_killed_run_left_out(
+    tmp_path, library
+):
+    # killed after its third record, before that record's timing line
+    instances = gen_tasks(tmp_path)
+    replay = build_pal_replay(tmp_path, instances, library)
+    full = tmp_path / "full.jsonl"
+    assert cli.main(run_args(instances, full, replay)) == 0
+
+    short = tmp_path / "short.jsonl"
+    records = full.read_text().splitlines(keepends=True)
+    short.write_text("".join(records[:3]))
+    timing = timing_path(full).read_text().splitlines(keepends=True)
+    timing_path(short).write_text("".join(timing[:2]))
+    rc = cli.main(run_args(instances, short, replay, extra=("--resume",)))
+    assert rc == 0
+    assert short.read_bytes() == full.read_bytes()
+    lines = timing_path(short).read_text().splitlines(keepends=True)
+    assert lines[:2] == timing[:2]
+    third = json.loads(records[2])["instance_id"]
+    assert lines[2] == (
+        '{"guest_ms": null, "instance_id": "%s", "latency_ms": null, '
+        '"wall_ms": null}\n' % third
+    )
+    assert timing_ids(short) == timing_ids(full)  # line i belongs to record i
+
+
 def test_run_resume_malformed_inner_line_names_file_and_line(
     tmp_path, library, capsys
 ):

@@ -215,6 +215,12 @@ def test_ids_are_unique_and_content_derived(corpus):
     assert ids == [i.id for i in again]
 
 
+def test_instance_id_bytes_are_pinned():
+    # task files written by earlier versions keep their ids
+    instance_id = taskgen._instance_id("counting", "count_vowels", {"word": "bée", "n": 3})
+    assert instance_id == "counting-ab116d694ee9"
+
+
 def test_order_free_only_for_find_same_count(corpus):
     instances = generate("finding", 8, rng_seed=2, corpus=corpus)
     for inst in instances:
