@@ -23,7 +23,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 DEFAULT_TIMEOUT_S = 60.0
 DEFAULT_MAX_RETRIES = 3
@@ -74,6 +74,26 @@ def _canonical_encoder():
 # The one JSON form of every key titan hashes and line it writes. It keeps no
 # markers, so a circular value raises RecursionError.
 canonical = _canonical_encoder()
+
+
+def json_lines(lines, path) -> "Iterator[tuple[str, dict]]":
+    """Each JSON object of ``lines``, the byte lines of file ``path``.
+
+    Yields ``(where, obj)`` with ``where`` = ``path:line``. Blank lines are
+    skipped. A line that is not UTF-8 holding a JSON object raises
+    ``ValueError`` naming its ``where``.
+    """
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{line_no}"
+        try:
+            obj = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            raise ValueError(f"{where}: malformed line: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where}: malformed line: not a JSON object")
+        yield where, obj
 
 
 def request_key(phase: str, messages, temperature: float) -> str:
@@ -182,42 +202,43 @@ class ReplayBackend:
     deterministic = True
     in_memory = True
 
-    def __init__(self, records: "dict[tuple, dict]"):
-        self._records = records
+    def __init__(self, responses: "dict[tuple, ChatResponse]"):
+        self._responses = responses
 
     @classmethod
     def from_path(cls, path) -> "ReplayBackend":
-        records = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    key = record["key"]
-                    sample_index = int(record.get("sample_index", 0))
-                    text = record["response_text"]
-                    if not isinstance(key, str) or not isinstance(text, str):
-                        raise TypeError("key and response_text must be strings")
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise BackendError(
-                        f"replay file {path} line {line_no} is malformed: {exc}"
-                    ) from exc
-                records[(key, sample_index)] = record
-        return cls(records)
+        """Load a replay file, keeping each line's response only.
+
+        A bad line raises ``BackendError`` naming ``path:line``.
+        """
+        responses = {}
+        with open(path, "rb") as fh:
+            try:
+                for where, entry in json_lines(fh, path):
+                    try:
+                        key, text = entry["key"], entry["response_text"]
+                        sample_index = int(entry.get("sample_index", 0))
+                        if not isinstance(key, str) or not isinstance(text, str):
+                            raise TypeError("key and response_text must be strings")
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise ValueError(f"{where}: malformed line: {exc}") from None
+                    usage = entry.get("usage")
+                    responses[(key, sample_index)] = ChatResponse(text, usage)
+            except ValueError as exc:
+                raise BackendError(f"bad replay file: {exc}") from None
+        return cls(responses)
 
     def complete(
         self, phase: str, messages, temperature: float, sample_index: int = 0
     ) -> ChatResponse:
         key = request_key(phase, messages, temperature)
-        record = self._records.get((key, sample_index))
-        if record is None:
+        response = self._responses.get((key, sample_index))
+        if response is None:
             raise ReplayMissError(
                 f"no recorded response for phase={phase} sample={sample_index} "
                 f"key={key[:12]}"
             )
-        return ChatResponse(text=record["response_text"], usage=record.get("usage"))
+        return response
 
 
 class ScriptedBackend:

@@ -27,7 +27,7 @@ from typing import Optional
 
 from . import backend as backend_mod
 from . import pipeline, prompts, scoring, taskgen
-from .backend import canonical
+from .backend import canonical, json_lines
 
 COST_GUARD_REQUESTS = 200
 
@@ -145,77 +145,61 @@ _RECORD_STR_FIELDS = {
 }
 
 
-def _parse_records(path: str, data: bytes) -> "list[tuple[int, dict]]":
-    """Each record of ``data`` with its line number."""
-    records = []
-    for line_no, line in enumerate(data.split(b"\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: malformed record: {exc}") from None
-        if not isinstance(record, dict):
-            raise ValueError(f"{path}:{line_no}: malformed record: not an object")
+def _whole_lines(path: str, cut: bool = False):
+    """The lines of ``path``, a file titan appends to, that end in a newline.
+
+    A line counts once its newline is written, so bytes after the last
+    newline are a line torn by a killed run. They are skipped with a
+    warning and, with ``cut``, cut from the file once every whole line has
+    been read, so the next line written starts on a line of its own.
+    """
+    end = 0
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):
+                print(
+                    f"warning: {path}:{line_no}: dropping unterminated last line",
+                    file=sys.stderr,
+                )
+                if cut:
+                    os.truncate(path, end)
+                return
+            end += len(line)
+            yield line
+
+
+def _records(path: str, cut: bool = False):
+    """Each whole record of records file ``path`` with its ``path:line``."""
+    for where, record in json_lines(_whole_lines(path, cut), path):
         for key, types in _RECORD_STR_FIELDS.items():
             if key in record and not isinstance(record[key], types):
-                raise ValueError(
-                    f"{path}:{line_no}: malformed record: {key} is not a string"
-                )
-        records.append((line_no, record))
-    return records
+                raise ValueError(f"{where}: malformed record: {key} is not a string")
+        yield where, record
 
 
-def _read_records(path: str) -> "list[dict]":
-    with open(path, "rb") as fh:
-        return [record for _, record in _parse_records(path, fh.read())]
-
-
-def _complete_lines(data: bytes) -> bytes:
-    """``data`` up to its last newline: a line is written once its newline is."""
-    return data[: data.rfind(b"\n") + 1]
-
-
-def _cut_torn_line(path: str, data: bytes) -> None:
-    """Cut what follows the last newline of ``path``, whose bytes are ``data``.
-
-    Those bytes are a line torn by a killed run. They are dropped with a
-    warning, so the next line written starts on a line of its own.
-    """
-    end = len(_complete_lines(data))
-    if end < len(data):
-        line_no = data.count(b"\n") + 1
-        print(
-            f"warning: {path}:{line_no}: dropping unterminated last line",
-            file=sys.stderr,
-        )
-        os.truncate(path, end)
-
-
-def _resume_records(path: str, run_config: pipeline.RunConfig) -> "list[dict]":
-    """The records a resumed run keeps from its records file.
+def _resume_records(path: str, run_config: pipeline.RunConfig, tally: dict):
+    """The ids of the records a resumed run keeps, counted into ``tally``.
 
     Every kept record must come from a run of the same mode and sample
     count, or the resume is refused before the file is touched. A torn last
     record is then cut from the file.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    records = _parse_records(path, _complete_lines(data))
-    for line_no, record in records:
+    ids = []
+    for where, record in _records(path, cut=True):
         if record.get("mode") != run_config.mode:
             raise UsageError(
-                f"{path}:{line_no}: mode is {record.get('mode')!r}, but this "
+                f"{where}: mode is {record.get('mode')!r}, but this "
                 f"run's is {run_config.mode!r}"
             )
         answers = record.get("sample_answers")
         if not isinstance(answers, list) or len(answers) != run_config.samples_k:
             raise UsageError(
-                f"{path}:{line_no}: sample_answers does not hold this run's "
+                f"{where}: sample_answers does not hold this run's "
                 f"{run_config.samples_k} sample(s)"
             )
-    _cut_torn_line(path, data)
-    return [record for _, record in records]
+        ids.append(record.get("instance_id"))
+        _count(tally, record)
+    return ids
 
 
 # Config keys a resumed run may change, because they cannot change a record.
@@ -328,9 +312,10 @@ def cmd_gen(args) -> int:
 # --- run / record-replay -----------------------------------------------
 
 
-def _write_manifest(path, manifest: dict) -> None:
+def _write_json(path, obj: dict) -> None:
+    """Write ``obj`` to ``path`` as one indented JSON document."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -358,17 +343,16 @@ def _run_common(args, recording_path: Optional[str]) -> int:
         "templates_dir": templates_dir,
     }
 
-    kept, timed = [], 0
+    # the kept records' ids and counts, and how many of them are timed
+    kept, counts, timed = [], {"completed": 0, "correct": 0, "failures": {}}, 0
     if args.resume and os.path.isfile(out_path):
         if os.path.isfile(manifest_path):
             _check_resumed_config(manifest_path, config)
-        kept = _resume_records(out_path, run_config)
+        kept = _resume_records(out_path, run_config, counts)
         if os.path.isfile(timing_path):
-            with open(timing_path, "rb") as fh:
-                sidecar = fh.read()
-            _cut_torn_line(timing_path, sidecar)
-            timed = _complete_lines(sidecar).count(b"\n")
-    done_ids = {record.get("instance_id") for record in kept}
+            sidecar = json_lines(_whole_lines(timing_path, cut=True), timing_path)
+            timed = sum(1 for _ in sidecar)
+    done_ids = set(kept)
     pending = [i for i in instances if i.id not in done_ids]
 
     estimated = (
@@ -402,14 +386,10 @@ def _run_common(args, recording_path: Optional[str]) -> int:
         "total_instances": len(instances),
         "skipped_existing": len(instances) - len(pending),
         # counted over the kept records and this session's
-        "completed": 0,
-        "correct": 0,
-        "failures": {},
+        **counts,
         "config": config,
     }
-    for record in kept:
-        _count(manifest, record)
-    _write_manifest(manifest_path, manifest)
+    _write_json(manifest_path, manifest)
     session = {"completed": 0, "correct": 0, "failures": {}}
 
     file_mode = "a" if kept else "w"
@@ -419,9 +399,9 @@ def _run_common(args, recording_path: Optional[str]) -> int:
             timing_path, file_mode, encoding="utf-8"
         ) as timing_fh:
             # line i of the sidecar times record i, also after a killed run
-            for record in kept[timed:]:
+            for instance_id in kept[timed:]:
                 untimed = dict.fromkeys(("guest_ms", "latency_ms", "wall_ms"))
-                untimed["instance_id"] = record.get("instance_id")
+                untimed["instance_id"] = instance_id
                 timing_fh.write(canonical(untimed) + "\n")
             for record in pipeline.run_many(pending, backend, run_config, library):
                 data = record.to_json_dict()
@@ -438,7 +418,7 @@ def _run_common(args, recording_path: Optional[str]) -> int:
         # any other exception propagates after the manifest says "failed"
         manifest["status"] = status
         manifest["finished_at"] = _now_iso()
-        _write_manifest(manifest_path, manifest)
+        _write_json(manifest_path, manifest)
 
     _say(
         f"{status}: {session['completed']}/{len(pending)} instances "
@@ -464,18 +444,17 @@ def cmd_record_replay(args) -> int:
 def cmd_report(args) -> int:
     if not os.path.isfile(args.records):
         raise UsageError(f"records file not found: {args.records}")
-    records = _read_records(args.records)
     baseline_report = None
     if args.baseline:
         if not os.path.isfile(args.baseline):
             raise UsageError(f"baseline file not found: {args.baseline}")
-        baseline_report = scoring.aggregate(_read_records(args.baseline))
-    report = scoring.aggregate(records, baseline=baseline_report)
+        baseline_report = scoring.aggregate(r for _, r in _records(args.baseline))
+    report = scoring.aggregate(
+        (r for _, r in _records(args.records)), baseline=baseline_report
+    )
     if args.out:
         _ensure_parent(args.out)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, report.to_json_dict())
     _say(scoring.render_table(report))
     return 0
 

@@ -19,15 +19,6 @@ PHASE_INPUT = "input_extraction"
 PHASE_STEPS = "step_extraction"
 PHASE_CODEGEN = "codegen"
 
-TEMPLATE_FILES = (
-    "input_extraction.txt",
-    "step_extraction.txt",
-    "codegen_base.txt",
-    "codegen_steps.txt",
-    "codegen_inputs.txt",
-    "pal_zs.txt",
-)
-
 _REQUIRED_PLACEHOLDERS = {
     "input_extraction.txt": ("{question}",),
     "step_extraction.txt": ("{question}",),
@@ -36,6 +27,8 @@ _REQUIRED_PLACEHOLDERS = {
     "codegen_inputs.txt": ("{inputs}",),
     "pal_zs.txt": ("{question}",),
 }
+
+TEMPLATE_FILES = tuple(_REQUIRED_PLACEHOLDERS)
 
 
 class TemplateError(ValueError):
@@ -48,20 +41,16 @@ def load_templates(templates_dir: Optional[str] = None) -> "dict[str, str]":
     A directory override must supply all six files; partial overlays would
     make a run's prompt set ambiguous.
     """
+    if templates_dir is None:
+        base = resources.files("titan").joinpath("templates")
+    else:
+        base = Path(templates_dir)
     loaded = {}
     for name in TEMPLATE_FILES:
-        if templates_dir is not None:
-            path = Path(templates_dir) / name
-            if not path.is_file():
-                raise TemplateError(f"template {name} not found in {templates_dir}")
-            raw = path.read_text(encoding="utf-8")
-        else:
-            raw = (
-                resources.files("titan")
-                .joinpath("templates")
-                .joinpath(name)
-                .read_text(encoding="utf-8")
-            )
+        path = base.joinpath(name)
+        if not path.is_file():
+            raise TemplateError(f"template {name} not found in {templates_dir}")
+        raw = path.read_text(encoding="utf-8")
         text = raw.rstrip("\n")
         for placeholder in _REQUIRED_PLACEHOLDERS[name]:
             if placeholder not in text:

@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .backend import canonical
+from .backend import canonical, json_lines
 from .scoring import KINDS
 
 DATASETS = ("finding", "counting", "truefalse", "generative")
@@ -100,18 +100,13 @@ class WordCorpus:
     @classmethod
     def bundled(cls) -> "WordCorpus":
         data = resources.files("titan").joinpath("data")
-        words = data.joinpath("words.txt").read_text(encoding="utf-8").split()
-        sentences = [
-            line.strip()
-            for line in data.joinpath("sentences.txt")
-            .read_text(encoding="utf-8")
-            .splitlines()
-            if line.strip()
-        ]
-        return cls(words=words, sentences=sentences)
+        with resources.as_file(data.joinpath("words.txt")) as words:
+            with resources.as_file(data.joinpath("sentences.txt")) as sentences:
+                return cls.from_paths(words, sentences)
 
     @classmethod
     def from_paths(cls, words_path, sentences_path) -> "WordCorpus":
+        """Words split on whitespace; one sentence per non-blank line."""
         words = Path(words_path).read_text(encoding="utf-8").split()
         sentences = [
             line.strip()
@@ -780,18 +775,8 @@ def write_jsonl(instances: Iterable[TaskInstance], path) -> int:
 def read_jsonl(path) -> "list[TaskInstance]":
     """Load a task file; a bad line raises ``ValueError`` naming ``path:line``."""
     instances = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{line_no}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: not valid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise ValueError(f"{where}: expected a JSON object")
+    with open(path, "rb") as fh:
+        for where, record in json_lines(fh, path):
             try:
                 instances.append(instance_from_json(record))
             except KeyError as exc:

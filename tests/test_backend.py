@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 from unittest import mock
 
 import pytest
@@ -290,6 +291,17 @@ def test_replay_malformed_line_fails_at_load(tmp_path):
         path.write_text(line + "\n")
         with pytest.raises(BackendError, match="malformed"):
             ReplayBackend.from_path(path)
+
+
+def test_loaded_replay_keeps_no_request_messages(tmp_path):
+    path = tmp_path / "replay.jsonl"
+    messages = [{"role": "user", "content": "a prompt only the request holds"}]
+    recorder = RecordingBackend(ScriptedBackend({"codegen": ["answer"]}), path)
+    recorder.complete("codegen", messages, 0.0)
+    assert b"a prompt only the request holds" in path.read_bytes()
+    replay = ReplayBackend.from_path(path)
+    assert b"a prompt only the request holds" not in pickle.dumps(replay)
+    assert replay.complete("codegen", messages, 0.0) == ChatResponse("answer")
 
 
 def test_replay_last_duplicate_wins(tmp_path):

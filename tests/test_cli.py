@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from titan import cli, pipeline, taskgen
-from titan.backend import HttpBackend
+from titan.backend import BackendError, HttpBackend, ReplayBackend, request_key
 from titan import prompts
 
 from conftest import literal_solution_code, write_replay
@@ -224,11 +224,11 @@ def test_run_resume_drops_torn_last_line(tmp_path, library, capsys, monkeypatch)
     for source, path in ((full, torn), (timing_path(full), timing_path(torn))):
         lines = source.read_bytes().splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
-    cut = []
-    cut_torn_line = cli._cut_torn_line
+    cutters = []
+    whole_lines = cli._whole_lines
     monkeypatch.setattr(
-        cli, "_cut_torn_line",
-        lambda path, data: (cut.append(path), cut_torn_line(path, data)),
+        cli, "_whole_lines",
+        lambda path, cut=False: (cut and cutters.append(path), whole_lines(path, cut))[1],
     )
     capsys.readouterr()
     rc = cli.main(run_args(instances, torn, replay, extra=("--resume",)))
@@ -237,7 +237,7 @@ def test_run_resume_drops_torn_last_line(tmp_path, library, capsys, monkeypatch)
     assert timing_ids(torn) == timing_ids(full)  # appended after the cut
     err = capsys.readouterr().err
     assert f"{torn}:3" in err and f"{timing_path(torn)}:3" in err
-    assert cut == [str(torn), str(timing_path(torn))]  # one cutter for both
+    assert cutters == [str(torn), str(timing_path(torn))]  # one cutter for both
 
 
 def test_run_resume_fills_the_sidecar_line_a_killed_run_left_out(
@@ -463,6 +463,60 @@ def test_run_instances_bad_json_line_is_usage_error(tmp_path, capsys):
     rc = cli.main(run_args(instances, tmp_path / "o.jsonl", tmp_path / "r.jsonl"))
     assert rc == 1
     assert f"{instances}:2" in capsys.readouterr().err
+
+
+def test_run_input_line_not_utf8_names_file_and_line(tmp_path, library, capsys):
+    instances = gen_tasks(tmp_path)
+    replay = build_pal_replay(tmp_path, instances, library)
+    good = instances.read_bytes()
+    for path in (instances, replay):
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + b'{"id": "\xff"}\n' + b"".join(lines[1:]))
+        capsys.readouterr()
+        assert cli.main(run_args(instances, tmp_path / "o.jsonl", replay)) == 1
+        assert f"{path}:2" in capsys.readouterr().err
+        instances.write_bytes(good)
+
+
+MSGS = [{"role": "user", "content": "hello"}]
+
+
+@pytest.fixture(params=["instances", "replay"])
+def input_file(request):
+    """A two-line input file's lines, a loader and what the loader must return."""
+    if request.param == "instances":
+        instances = taskgen.generate("counting", 2, 11)
+        lines = [json.dumps(i.to_json_dict()) for i in instances]
+
+        def load(path):
+            return [instance.id for instance in taskgen.read_jsonl(path)]
+
+        return lines, load, [i.id for i in instances], ValueError
+    key = request_key("codegen", MSGS, 0.0)
+    lines = [
+        json.dumps({"key": key, "sample_index": s, "response_text": f"r{s}"})
+        for s in (0, 1)
+    ]
+
+    def load(path):
+        replay = ReplayBackend.from_path(path)
+        return [replay.complete("codegen", MSGS, 0.0, s).text for s in (0, 1)]
+
+    return lines, load, ["r0", "r1"], BackendError
+
+
+def test_input_file_lines(tmp_path, input_file):
+    lines, load, expected, error = input_file
+    first, second = (line.encode() for line in lines)
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(first + b"\n" + second)  # the last line needs no newline
+    assert load(path) == expected
+    path.write_bytes(b"\r\n" + first + b"\r\n \r\n\n" + second + b"\r\n")
+    assert load(path) == expected
+    for bad in (b"[1, 2]", b'"text"', b"{torn"):
+        path.write_bytes(first + b"\n\n" + bad + b"\n" + second + b"\n")
+        with pytest.raises(error, match=re.escape(f"{path}:3: malformed line")):
+            load(path)
 
 
 def test_run_missing_instances_is_usage_error(tmp_path, capsys):
@@ -773,6 +827,23 @@ def test_report_null_dataset_is_external(tmp_path, capsys):
     write_records(records, [(None, True, "none")])
     assert cli.main(["report", "--records", str(records)]) == 0
     assert "external" in capsys.readouterr().out
+
+
+def test_report_skips_a_torn_last_line_and_cuts_nothing(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    write_records(records, [("counting", True, "none")] * 3
+                  + [("counting", False, "mismatch")] * 2
+                  + [("finding", True, "none")])
+    lines = records.read_bytes().splitlines(keepends=True)
+    records.write_bytes(b"".join(lines[:5]) + lines[5][:25])  # killed mid-record
+    before = records.read_bytes()
+    rc = cli.main(["report", "--records", str(records)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "counting" in captured.out and "60.0" in captured.out
+    assert "finding" not in captured.out
+    assert f"{records}:6: dropping unterminated last line" in captured.err
+    assert records.read_bytes() == before
 
 
 def test_report_missing_file_is_usage_error(tmp_path, capsys):
