@@ -9,10 +9,10 @@ network access and multi-sample draws stay distinguishable.
 Responses carry no timing; the pipeline times each ``complete`` call.
 Backends that cannot vary between runs declare ``deterministic = True``.
 Backends that answer from memory, without waiting on anything, declare
-``in_memory = True``: the pipeline then sends a sample's auxiliary phases
-one after another from the sample's own thread, because handing one to a
+``in_memory = True``: the pipeline then sends an instance's requests one
+after another from the instance's own thread, because handing one to a
 pool thread costs more than the answer. A backend that does not declare
-it gets its auxiliary phases sent at once.
+it gets each phase's requests of an instance sent at once.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -242,46 +243,35 @@ class ReplayBackend:
 
 
 class ScriptedBackend:
-    """Per-phase response queues for tests. Exhaustion is an error.
+    """Per-phase response queues for tests, first in first out.
 
-    A request of sample s takes item ``base + s`` of its phase's queue, so
-    samples that run at once get the items they would get one after
-    another. A sample index already served in the current round starts a
-    new round after the furthest item served. With one sample per instance
-    every request starts a round, which is first-in first-out.
+    Exhaustion is an error. The pipeline sends an instance's requests of a
+    phase in sample order, so with k samples, sample s gets the s-th of
+    the phase's next k items.
     """
 
     deterministic = True
     in_memory = True
 
     def __init__(self, responses: "dict[str, list]"):
-        self._queues = {phase: list(items) for phase, items in responses.items()}
-        # phase -> (base, sample indexes served in the current round)
-        self._rounds: "dict[str, tuple[int, frozenset]]" = {}
-        self._served: "dict[str, int]" = {}
-        self._lock = threading.Lock()
+        self._queues = {phase: deque(items) for phase, items in responses.items()}
 
     def complete(
         self, phase: str, messages, temperature: float, sample_index: int = 0
     ) -> ChatResponse:
-        with self._lock:
-            queue = self._queues.get(phase, [])
-            base, served = self._rounds.get(phase, (0, frozenset()))
-            if sample_index in served:
-                base, served = base + max(served) + 1, frozenset()
-            if base + sample_index >= len(queue):
-                raise BackendError(f"scripted backend exhausted for phase {phase!r}")
-            item = queue[base + sample_index]
-            self._rounds[phase] = (base, served | {sample_index})
-            self._served[phase] = self._served.get(phase, 0) + 1
+        try:  # popleft is atomic, so instances may share the backend
+            item = self._queues.get(phase, deque()).popleft()
+        except IndexError:
+            raise BackendError(
+                f"scripted backend exhausted for phase {phase!r}"
+            ) from None
         if isinstance(item, ChatResponse):
             return item
         return ChatResponse(text=str(item))
 
     def remaining(self, phase: str) -> int:
         """How many of the phase's items no request has taken yet."""
-        with self._lock:
-            return len(self._queues.get(phase, [])) - self._served.get(phase, 0)
+        return len(self._queues.get(phase, ()))
 
 
 class RecordingBackend:

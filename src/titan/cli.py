@@ -351,7 +351,12 @@ def _run_common(args, recording_path: Optional[str]) -> int:
         kept = _resume_records(out_path, run_config, counts)
         if os.path.isfile(timing_path):
             sidecar = json_lines(_whole_lines(timing_path, cut=True), timing_path)
-            timed = sum(1 for _ in sidecar)
+            timed, left = sum(1 for _ in sidecar), len(kept)
+            if timed > left:  # line i of the sidecar times record i
+                with open(timing_path, "rb+") as fh:
+                    while left:  # a blank line times no record
+                        left -= bool(fh.readline().strip())
+                    fh.truncate()
     done_ids = set(kept)
     pending = [i for i in instances if i.id not in done_ids]
 

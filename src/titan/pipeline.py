@@ -12,29 +12,23 @@ Modes:
 per-instance path: it runs the whole phase set ``samples_k`` times and
 majority-votes the normalized answers, k=1 included. It never raises;
 every outcome lands in an ``EvalRecord`` with one failure class. The
-samples run at once and only the vote waits for them: sample 0 on the
-calling thread, samples 1..k-1 on a work pool. A sample builds its
-auxiliary prompts on its own thread, sends the first phase's request
-itself and the others through the same pool, and keeps transcripts and
-errors in phase order. A backend that declares ``in_memory`` (replay,
-scripted) answers faster than a hand-off to a pool thread, so for it the
-sample sends every auxiliary phase itself, in phase order, and the pool
-gets only samples 1..k-1. A sample returns only after every request it
-sent ended.
+instance's thread runs its samples one phase at a time: it builds each
+auxiliary prompt once and sends all k*len(aux) auxiliary requests
+together, then the codegen request of each sample whose auxiliary
+phases all answered, then it processes each response and runs every
+runnable script. Each step ends only after all its calls ended. A
+sample's error is its first failed phase's, in phase order.
 
 A run has two thread pools. ``run_many``'s instance pool of
 ``concurrency`` workers (at concurrency 1, the caller's thread) runs
-``run_self_consistency`` once per instance. Its work pool has
-``concurrency * (k*max(len(aux), 1) - 1)`` workers: exactly the most
-sample and phase tasks that the in-flight instances can have
-outstanding, so no task ever queues behind one that waits on it
-(``_work_pool`` gives the argument). A direct per-instance call without
-a pool makes one of ``max(k*max(len(aux), 1) - 1, 1)`` workers for its
-own duration. ``concurrency`` is the only limit on a run: at most
-``concurrency * k`` guests run at once, and at most
-``concurrency * k * max(len(aux), 1)`` requests are in flight, one per
-thread of the two pools; ``concurrency * k`` with an ``in_memory``
-backend.
+``run_self_consistency`` once per instance. Each task of its work pool
+is one request or one guest (``_work_pool``). A step of one call runs
+it on the instance's thread, and so does every request to a backend
+that declares ``in_memory`` (replay, scripted), which answers faster
+than a hand-off to a pool thread. ``concurrency`` is the only limit on
+a run: at most ``concurrency * k`` guests run at once, and at most
+``concurrency * k * max(len(aux), 1)`` requests are in flight, or
+``concurrency`` with an ``in_memory`` backend.
 
 Guests run through one ``executor.Helper`` per run: ``run_many`` owns it
 for all its instances, and a direct per-instance call owns one for its
@@ -52,8 +46,10 @@ from __future__ import annotations
 import contextlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 from typing import Iterable, Iterator, Optional
 
 from . import codeproc, executor, prompts, scoring
@@ -177,135 +173,140 @@ def _complete_phase(backend, phase, prompt_text, config, sample_index):
     return transcript, latency_ms
 
 
-class _Done:
-    """``fn(*args)`` called on this thread, read like a pool's done future.
+def _attempt(fn, args):
+    """``(fn(*args), None)``, or ``(None, error)`` when the call raised."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # returned, so every call of an _each list ends
+        return None, exc
 
-    ``result()`` returns the call's value or raises its error. Lighter than
-    a ``Future``, which makes a lock that nothing here waits on.
+
+def _each(fn, calls, pool):
+    """``_attempt(fn, args)`` for each ``args`` of ``calls``, in call order.
+
+    Returns only after every call ended. The calls run at once on ``pool``
+    when it is given and there is more than one; otherwise one after
+    another on this thread.
     """
-
-    __slots__ = ("_value", "_error")
-
-    def __init__(self, fn, *args):
-        self._value = self._error = None
-        try:
-            self._value = fn(*args)
-        except Exception as exc:  # kept for result() to raise, as a pool does
-            self._error = exc
-
-    def result(self):
-        if self._error is not None:
-            raise self._error
-        return self._value
+    if pool is None or len(calls) < 2:
+        return [_attempt(fn, args) for args in calls]
+    return list(pool.map(_attempt, repeat(fn), calls))
 
 
-def _run_sample(
-    instance, backend, config: RunConfig, library, sample_index: int, helper, pool
-) -> _SampleResult:
-    result = _SampleResult()
-    question = instance.prompt
+def _failed(sample: _SampleResult, exc: Exception) -> None:
+    sample.failure_class = "backend_error"
+    if isinstance(exc, BackendError):
+        sample.error = str(exc)
+    else:  # orchestration bug; still no exception escapes
+        sample.error = f"{type(exc).__name__}: {exc}"
 
+
+def _run_samples(
+    instance, backend, config: RunConfig, library, helper, pool
+) -> "list[_SampleResult]":
+    k, question = config.samples_k, instance.prompt
     aux = _AUX_PHASES[config.mode]
+    samples = [_SampleResult() for _ in range(k)]
+    # a backend that answers in memory answers faster than a hand-off
+    sender = None if getattr(backend, "in_memory", False) else pool
     builders = {
         prompts.PHASE_INPUT: prompts.build_input_extraction,
         prompts.PHASE_STEPS: prompts.build_step_extraction,
     }
+    # every sample sends the same auxiliary prompts: each is built once, and
+    # all k*len(aux) requests go at once, phase by phase, sample by sample
+    calls = []
     try:
-        # Prompts are built on this thread. A backend that answers in memory
-        # answers faster than a hand-off to the pool, so this thread sends
-        # every phase, in phase order. Otherwise it sends the first while
-        # the pool sends the others.
-        calls = [
-            (backend, phase, builders[phase](question, library), config, sample_index)
-            for phase in aux
-        ]
-        here = len(aux) if getattr(backend, "in_memory", False) else 1
-        pooled = [pool.submit(_complete_phase, *call) for call in calls[here:]]
+        for phase in aux:
+            text = builders[phase](question, library)
+            calls += [(backend, phase, text, config, s) for s in range(k)]
+    except Exception as exc:
+        for sample in samples:
+            _failed(sample, exc)
+        return samples
+    answered = _each(_complete_phase, calls, sender)
+
+    calls = []
+    for s, sample in enumerate(samples):
+        own = answered[s::k]  # the sample's phases, in phase order
+        errors = [error for _, error in own if error is not None]
+        if errors:
+            _failed(sample, errors[0])  # and keeps no transcript
+            continue
+        for (transcript, latency_ms), _ in own:
+            sample.transcripts.append(transcript)
+            sample.latency_ms.append(latency_ms)
+        out = {t["phase"]: t["response_text"] for t in sample.transcripts}
         try:
-            answered = [_Done(_complete_phase, *call) for call in calls[:here]]
-        finally:
-            # no request of this sample outlives it, even when one failed
-            if pooled:
-                wait(pooled)
-        # read in phase order, which raises the first failed phase's error
-        # before any transcript is kept
-        for transcript, latency_ms in [f.result() for f in answered + pooled]:
-            result.transcripts.append(transcript)
-            result.latency_ms.append(latency_ms)
-        aux_out = dict(zip(aux, result.transcripts))
+            if config.mode == "pal_zs":
+                text = prompts.build_pal_zs(question, library)
+            else:
+                text = prompts.build_codegen(
+                    question,
+                    library,
+                    steps=out.get(prompts.PHASE_STEPS),
+                    inputs=out.get(prompts.PHASE_INPUT),
+                )
+        except Exception as exc:
+            _failed(sample, exc)
+            continue
+        calls.append((backend, prompts.PHASE_CODEGEN, text, config, s))
 
-        if config.mode == "pal_zs":
-            codegen_prompt = prompts.build_pal_zs(question, library)
+    guests, scripts = [], []
+    for call, (answer, error) in zip(calls, _each(_complete_phase, calls, sender)):
+        sample = samples[call[-1]]
+        if error is not None:
+            _failed(sample, error)  # and keeps its auxiliary transcripts
+            continue
+        transcript, latency_ms = answer
+        sample.transcripts.append(transcript)
+        sample.latency_ms.append(latency_ms)
+        script = codeproc.process_response(transcript["response_text"])
+        sample.script = script.to_json_dict()
+        if script.error == codeproc.ERROR_NO_CODE:
+            sample.failure_class = "no_code"
+        elif script.repaired is None:
+            # needs_arguments / unrepairable: no point spawning a process
+            sample.failure_class = "exec_error"
         else:
-            codegen_prompt = prompts.build_codegen(
-                question,
-                library,
-                steps=aux_out.get(prompts.PHASE_STEPS, {}).get("response_text"),
-                inputs=aux_out.get(prompts.PHASE_INPUT, {}).get("response_text"),
+            guests.append(sample)
+            scripts.append((script.repaired,))
+    if not scripts:
+        return samples
+
+    execute = partial(executor.execute, timeout_s=config.exec_timeout_s, helper=helper)
+    for sample, (outcome, error) in zip(guests, _each(execute, scripts, pool)):
+        if error is not None:
+            raise error  # execute reports a guest's failure in its outcome
+        sample.outcome = outcome.to_json_dict()
+        sample.guest_ms = outcome.wall_ms
+        if outcome.exit == "timeout":
+            sample.failure_class = "timeout"
+        elif outcome.exit in ("nonzero", "spawn_error"):
+            sample.failure_class = "exec_error"
+        else:
+            sample.answer = scoring.extract_answer(
+                outcome.stdout, instance.gold.kind, case_sensitive=config.case_sensitive
             )
-        codegen, latency_ms = _complete_phase(
-            backend, prompts.PHASE_CODEGEN, codegen_prompt, config, sample_index
-        )
-        result.transcripts.append(codegen)
-        result.latency_ms.append(latency_ms)
-    except BackendError as exc:
-        result.failure_class = "backend_error"
-        result.error = str(exc)
-        return result
-    except Exception as exc:  # orchestration bug; still no exception escapes
-        result.failure_class = "backend_error"
-        result.error = f"{type(exc).__name__}: {exc}"
-        return result
-
-    script = codeproc.process_response(codegen["response_text"])
-    result.script = script.to_json_dict()
-    if script.error == codeproc.ERROR_NO_CODE:
-        result.failure_class = "no_code"
-        return result
-    if script.repaired is None:
-        # needs_arguments / unrepairable: no point spawning a process
-        result.failure_class = "exec_error"
-        return result
-
-    outcome = executor.execute(
-        script.repaired, timeout_s=config.exec_timeout_s, helper=helper
-    )
-    result.outcome = outcome.to_json_dict()
-    result.guest_ms = outcome.wall_ms
-    if outcome.exit == "timeout":
-        result.failure_class = "timeout"
-        return result
-    if outcome.exit in ("nonzero", "spawn_error"):
-        result.failure_class = "exec_error"
-        return result
-
-    answer = scoring.extract_answer(
-        outcome.stdout, instance.gold.kind, case_sensitive=config.case_sensitive
-    )
-    if answer is None:
-        result.failure_class = "no_answer"
-        return result
-    result.answer = answer
-    result.failure_class = "none"
-    return result
+            if sample.answer is None:
+                sample.failure_class = "no_answer"
+    return samples
 
 
 def _work_pool(config: RunConfig, instances: int = 1) -> ThreadPoolExecutor:
-    """The pool for the samples and auxiliary phases of ``instances`` at once.
+    """The pool for the requests and guests of ``instances`` at once.
 
-    A sample's thread sends its first auxiliary phase itself, so an
-    in-flight instance has at most k-1 samples and k*(len(aux)-1) phases
-    outstanding here: k*max(len(aux), 1)-1 tasks, one fewer than the
-    requests it can have in flight. A task only ever waits on tasks of its
-    own instance. With a worker for every task that in-flight instances
-    can have outstanding, no task queues behind one that waits on it, so
-    the pool cannot deadlock. The size is an upper bound: threads start on
-    submit, and only when no started thread is idle. A sample of an
-    ``in_memory`` backend submits no phase, so a run on one at k=1 starts
-    no thread here at all.
+    Each task is one request or one guest and waits on no other task, so
+    the pool cannot deadlock at any size. An in-flight instance has at most
+    k*max(len(aux), 1) tasks here at a time: its auxiliary requests, then
+    its k codegen requests, then its k guests. The size lets every
+    in-flight instance have them all running at once. It is an upper bound:
+    threads start on submit, and only when no started thread is idle. An
+    ``in_memory`` backend's requests and a lone guest run on the instance's
+    own thread, so a replayed run at k=1 starts no thread here at all.
     """
-    per_instance = config.samples_k * max(len(_AUX_PHASES[config.mode]), 1) - 1
-    return ThreadPoolExecutor(max_workers=max(instances * per_instance, 1))
+    per_instance = config.samples_k * max(len(_AUX_PHASES[config.mode]), 1)
+    return ThreadPoolExecutor(max_workers=instances * per_instance)
 
 
 def run_self_consistency(
@@ -313,13 +314,12 @@ def run_self_consistency(
 ) -> EvalRecord:
     """Run ``config.samples_k`` samples of ``instance`` and vote on the answers.
 
-    Sample 0 runs on the calling thread; the others, and each sample's
-    auxiliary phases after its first unless the backend is ``in_memory``,
-    run on ``pool``, or on a pool made for this call when it is None (see
-    ``_work_pool``). The answer most samples agree on wins; a tie goes to
-    the earliest sample. When no sample yields an answer, the record keeps
-    the first sample's script, outcome and error, and its failure class is
-    that sample's own at k=1 and ``no_answer`` at k>1.
+    The calling thread runs the samples one phase at a time and hands a
+    phase's calls to ``pool``, or to a pool made for this call when it is
+    None (see ``_work_pool``). The answer most samples agree on wins; a tie
+    goes to the earliest sample. When no sample yields an answer, the
+    record keeps the first sample's script, outcome and error, and its
+    failure class is that sample's own at k=1 and ``no_answer`` at k>1.
     """
     if library is None:
         library = prompts.load_templates()
@@ -328,12 +328,7 @@ def run_self_consistency(
     with executor.helper_scope(helper) as helper, (
         _work_pool(config) if pool is None else contextlib.nullcontext(pool)
     ) as pool:
-        others = [
-            pool.submit(_run_sample, instance, backend, config, library, i, helper, pool)
-            for i in range(1, config.samples_k)
-        ]
-        samples = [_run_sample(instance, backend, config, library, 0, helper, pool)]
-        samples += [f.result() for f in others]
+        samples = _run_samples(instance, backend, config, library, helper, pool)
     record = EvalRecord(
         instance_id=instance.id,
         dataset=instance.dataset,

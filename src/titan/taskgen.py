@@ -77,7 +77,7 @@ def instance_from_json(record: dict) -> TaskInstance:
         raise ValueError("template_id must be a string or null")
     if record["gold_kind"] not in KINDS:
         raise ValueError(f"gold_kind must be one of {', '.join(KINDS)}")
-    order_free = bool(template_id and template_id in ORDER_FREE_TEMPLATES)
+    template = TEMPLATES.get(template_id)
     return TaskInstance(
         id=record["id"],
         dataset=record["dataset"],
@@ -85,7 +85,7 @@ def instance_from_json(record: dict) -> TaskInstance:
         gold=GroundTruth(
             kind=record["gold_kind"],
             value=record["gold_value"],
-            order_free=order_free,
+            order_free=template is not None and template.order_free,
         ),
         template_id=template_id,
         seed_params=record.get("seed_params") or {},
@@ -134,7 +134,7 @@ def _req(params: dict, key: str):
 # --- oracles -----------------------------------------------------------
 
 
-def _oracle_find_without_substring(p: dict) -> GroundTruth:
+def _oracle_find_without_substring(p: dict):
     target = _req(p, "target")
     options = _req(p, "options")
     hits = [w for w in options if target not in w]
@@ -142,7 +142,7 @@ def _oracle_find_without_substring(p: dict) -> GroundTruth:
         raise OracleError(
             f"expected exactly one option without {target!r}, found {len(hits)}"
         )
-    return GroundTruth("text", hits[0])
+    return hits[0]
 
 
 def _distinct_letter_count(word: str, letter1: str, letter2: str) -> int:
@@ -150,7 +150,7 @@ def _distinct_letter_count(word: str, letter1: str, letter2: str) -> int:
     return len({c for c in collapsed if c.isalpha()})
 
 
-def _oracle_find_most_distinct_letters(p: dict) -> GroundTruth:
+def _oracle_find_most_distinct_letters(p: dict):
     letter1 = _req(p, "letter1")
     letter2 = _req(p, "letter2")
     options = _req(p, "options")
@@ -159,10 +159,10 @@ def _oracle_find_most_distinct_letters(p: dict) -> GroundTruth:
     winners = [w for w, c in zip(options, counts) if c == best]
     if len(winners) != 1:
         raise OracleError("no unique word with the most distinct letters")
-    return GroundTruth("text", winners[0])
+    return winners[0]
 
 
-def _oracle_find_same_count(p: dict) -> GroundTruth:
+def _oracle_find_same_count(p: dict):
     reference = _req(p, "reference")
     target = _req(p, "target")
     options = _req(p, "options")
@@ -171,10 +171,10 @@ def _oracle_find_same_count(p: dict) -> GroundTruth:
     matches = [w for w in options if w.count(target) == 1]
     if not matches:
         raise OracleError("no option matches the reference count")
-    return GroundTruth("list", matches, order_free=True)
+    return matches
 
 
-def _oracle_find_starts_with(p: dict) -> GroundTruth:
+def _oracle_find_starts_with(p: dict):
     letter = _req(p, "letter")
     options = _req(p, "options")
     hits = [w for w in options if w.startswith(letter)]
@@ -182,108 +182,108 @@ def _oracle_find_starts_with(p: dict) -> GroundTruth:
         raise OracleError(
             f"expected exactly one option starting with {letter!r}, found {len(hits)}"
         )
-    return GroundTruth("text", hits[0])
+    return hits[0]
 
 
-def _oracle_count_long_words(p: dict) -> GroundTruth:
+def _oracle_count_long_words(p: dict):
     sentence = _req(p, "sentence")
     count = sum(1 for token in sentence.split() if len(token) >= 4)
-    return GroundTruth("number", str(count))
+    return str(count)
 
 
-def _oracle_count_digits(p: dict) -> GroundTruth:
+def _oracle_count_digits(p: dict):
     word = _req(p, "word")
-    return GroundTruth("number", str(sum(1 for ch in word if ch.isdigit())))
+    return str(sum(1 for ch in word if ch.isdigit()))
 
 
-def _oracle_count_letter_ignorecase(p: dict) -> GroundTruth:
+def _oracle_count_letter_ignorecase(p: dict):
     letter = _req(p, "letter")
     word = _req(p, "word")
     if len(letter) != 1:
         raise OracleError("letter must be a single character")
-    return GroundTruth("number", str(word.lower().count(letter.lower())))
+    return str(word.lower().count(letter.lower()))
 
 
-def _oracle_count_distinct_letters(p: dict) -> GroundTruth:
+def _oracle_count_distinct_letters(p: dict):
     word = _req(p, "word")
-    return GroundTruth("number", str(len({c for c in word.lower() if c.isalpha()})))
+    return str(len({c for c in word.lower() if c.isalpha()}))
 
 
-def _oracle_count_vowels(p: dict) -> GroundTruth:
+def _oracle_count_vowels(p: dict):
     word = _req(p, "word")
-    return GroundTruth("number", str(sum(1 for c in word.lower() if c in _VOWELS)))
+    return str(sum(1 for c in word.lower() if c in _VOWELS))
 
 
-def _oracle_space_in_words(p: dict) -> GroundTruth:
+def _oracle_space_in_words(p: dict):
     _req(p, "word1")
     word2 = _req(p, "word2")
-    return GroundTruth("binary", "1" if " " in word2 else "0")
+    return "1" if " " in word2 else "0"
 
 
-def _oracle_capitalization_difference(p: dict) -> GroundTruth:
+def _oracle_capitalization_difference(p: dict):
     word1 = _req(p, "word1")
     word2 = _req(p, "word2")
     if word1.casefold() != word2.casefold():
         raise OracleError("words must agree ignoring case")
-    return GroundTruth("binary", "1" if word1 != word2 else "0")
+    return "1" if word1 != word2 else "0"
 
 
-def _oracle_more_than_three_spaces(p: dict) -> GroundTruth:
+def _oracle_more_than_three_spaces(p: dict):
     sentence = _req(p, "sentence")
-    return GroundTruth("binary", "1" if sentence.count(" ") > 3 else "0")
+    return "1" if sentence.count(" ") > 3 else "0"
 
 
-def _oracle_repeated_word(p: dict) -> GroundTruth:
+def _oracle_repeated_word(p: dict):
     tokens = _req(p, "sentence").split()
-    return GroundTruth("binary", "1" if len(set(tokens)) < len(tokens) else "0")
+    return "1" if len(set(tokens)) < len(tokens) else "0"
 
 
-def _oracle_spelling_difference(p: dict) -> GroundTruth:
+def _oracle_spelling_difference(p: dict):
     letter1 = _req(p, "letter1")
     letter2 = _req(p, "letter2")
     word1 = _req(p, "word1")
     word2 = _req(p, "word2")
     canon1 = word1.replace(letter2, letter1)
     canon2 = word2.replace(letter2, letter1)
-    return GroundTruth("binary", "1" if canon1 != canon2 else "0")
+    return "1" if canon1 != canon2 else "0"
 
 
-def _oracle_acronym_from_sentence(p: dict) -> GroundTruth:
+def _oracle_acronym_from_sentence(p: dict):
     tokens = _req(p, "sentence").split()
     if not tokens:
         raise OracleError("sentence has no words")
-    return GroundTruth("text", "".join(t[0] for t in tokens))
+    return "".join(t[0] for t in tokens)
 
 
-def _oracle_swap_first_two_letters(p: dict) -> GroundTruth:
+def _oracle_swap_first_two_letters(p: dict):
     word = _req(p, "word")
     if len(word) < 2:
         raise OracleError("word must have at least two letters")
-    return GroundTruth("text", word[1] + word[0] + word[2:])
+    return word[1] + word[0] + word[2:]
 
 
-def _oracle_replace_last_letter_s(p: dict) -> GroundTruth:
+def _oracle_replace_last_letter_s(p: dict):
     word = _req(p, "word")
     if not word:
         raise OracleError("word is empty")
-    return GroundTruth("text", word[:-1] + "s")
+    return word[:-1] + "s"
 
 
-def _oracle_capitalize_first_letter(p: dict) -> GroundTruth:
+def _oracle_capitalize_first_letter(p: dict):
     word = _req(p, "word")
     if not word:
         raise OracleError("word is empty")
-    return GroundTruth("text", word[0].upper() + word[1:])
+    return word[0].upper() + word[1:]
 
 
-def _oracle_swap_first_letters_across(p: dict) -> GroundTruth:
+def _oracle_swap_first_letters_across(p: dict):
     words = _req(p, "words")
     if len(words) < 2:
         raise OracleError("need at least two words")
     if any(not w for w in words):
         raise OracleError("words must be non-empty")
     swapped = [words[(i + 1) % len(words)][0] + words[i][1:] for i in range(len(words))]
-    return GroundTruth("list", swapped)
+    return swapped
 
 
 # --- samplers ----------------------------------------------------------
@@ -484,21 +484,16 @@ class Template:
     gold_kind: str
     text: str
     sampler: Callable
-    oracle: Callable
+    oracle: Callable  # seed params -> the gold's value
+    order_free: bool = False  # a list gold matches in any order
 
 
 TEMPLATES: "dict[str, Template]" = {}
 
 
-def _register(template_id, dataset, gold_kind, text, sampler, oracle_fn) -> None:
-    TEMPLATES[template_id] = Template(
-        template_id=template_id,
-        dataset=dataset,
-        gold_kind=gold_kind,
-        text=text,
-        sampler=sampler,
-        oracle=oracle_fn,
-    )
+def _register(*fields, **flags) -> None:
+    template = Template(*fields, **flags)
+    TEMPLATES[template.template_id] = template
 
 
 _register(
@@ -529,6 +524,10 @@ _register(
     "The list includes: ``{options}``.",
     _sample_find_same_count,
     _oracle_find_same_count,
+    # asks for "the word(s)" without imposing an order;
+    # swap_first_letters_across returns positionally aligned outputs, so it
+    # stays ordered even though both carry list golds
+    order_free=True,
 )
 _register(
     "find_starts_with",
@@ -683,11 +682,6 @@ DATASET_TEMPLATES = {
     for dataset in DATASETS
 }
 
-# find_same_count asks for "the word(s)" without imposing an order;
-# swap_first_letters_across returns positionally aligned outputs, so it
-# stays ordered even though both carry list golds.
-ORDER_FREE_TEMPLATES = {"find_same_count"}
-
 
 def render_prompt(template_id: str, seed_params: dict) -> str:
     template = TEMPLATES.get(template_id)
@@ -707,7 +701,8 @@ def oracle(template_id: str, seed_params: dict) -> GroundTruth:
     template = TEMPLATES.get(template_id)
     if template is None:
         raise OracleError(f"unknown template {template_id!r}")
-    return template.oracle(seed_params)
+    value = template.oracle(seed_params)
+    return GroundTruth(template.gold_kind, value, template.order_free)
 
 
 def _instance_id(dataset: str, template_id: str, seed_params: dict) -> str:
@@ -746,13 +741,12 @@ def generate(
                 f"{template.template_id}: could not draw a fresh instance"
             )
         seen_ids.add(instance_id)
-        gold = template.oracle(params)
         instances.append(
             TaskInstance(
                 id=instance_id,
                 dataset=dataset,
                 prompt=render_prompt(template.template_id, params),
-                gold=gold,
+                gold=oracle(template.template_id, params),
                 template_id=template.template_id,
                 seed_params=params,
             )

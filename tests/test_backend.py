@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import pickle
+import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -113,16 +115,44 @@ def test_scripted_pops_per_phase_in_order():
     assert backend.remaining("codegen") == 0
 
 
-def test_scripted_serves_sample_s_its_item_in_any_order():
-    backend = ScriptedBackend({"codegen": ["a0", "a1", "a2", "b0", "b1"]})
+def test_scripted_serves_each_phase_first_in_first_out():
+    backend = ScriptedBackend({"codegen": ["a", "b", "c", "d"]})
     texts = [
         backend.complete("codegen", MSGS, 0.7, sample_index=s).text
-        for s in (2, 0, 1)  # one round of three samples, in any order
+        for s in (2, 0, 1)  # the sample index picks no item
     ]
-    assert texts == ["a2", "a0", "a1"]
-    assert backend.complete("codegen", MSGS, 0.7, sample_index=1).text == "b1"
-    assert backend.remaining("codegen") == 1  # "b0" is not served yet
-    assert backend.complete("codegen", MSGS, 0.7, sample_index=0).text == "b0"
+    assert texts == ["a", "b", "c"]
+    assert backend.remaining("codegen") == 1
+    assert backend.complete("codegen", MSGS, 0.7, sample_index=2).text == "d"
+    assert backend.remaining("codegen") == 0
+
+
+def test_scripted_serves_each_item_once_to_threads_sharing_it():
+    # more threads than cores, switching often: no item is served twice or
+    # lost, and exhaustion is still a BackendError
+    backend = ScriptedBackend({"codegen": list(range(2000))})
+    served, errors = [], []
+
+    def take():
+        for _ in range(300):
+            try:
+                served.append(int(backend.complete("codegen", MSGS, 0.0).text))
+            except BackendError:
+                errors.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=take) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(served) == list(range(2000))
+    assert len(errors) == 8 * 300 - 2000
     assert backend.remaining("codegen") == 0
 
 

@@ -267,6 +267,26 @@ def test_run_resume_fills_the_sidecar_line_a_killed_run_left_out(
     assert timing_ids(short) == timing_ids(full)  # line i belongs to record i
 
 
+def test_run_resume_cuts_the_sidecar_lines_past_the_kept_records(tmp_path, library):
+    # the records file lost more of its tail than the sidecar did
+    instances = gen_tasks(tmp_path)
+    replay = build_pal_replay(tmp_path, instances, library)
+    full = tmp_path / "full.jsonl"
+    assert cli.main(run_args(instances, full, replay)) == 0
+
+    long = tmp_path / "long.jsonl"
+    records = full.read_text().splitlines(keepends=True)
+    long.write_text("".join(records[:2]))
+    timing = timing_path(full).read_text().splitlines(keepends=True)
+    timing_path(long).write_text("".join(timing[:2]) + "\n" + "".join(timing[2:5]))
+    rc = cli.main(run_args(instances, long, replay, extra=("--resume",)))
+    assert rc == 0
+    assert long.read_bytes() == full.read_bytes()
+    lines = timing_path(long).read_text().splitlines(keepends=True)
+    assert lines[:2] == timing[:2]
+    assert timing_ids(long) == timing_ids(full)  # line i belongs to record i
+
+
 def test_run_resume_malformed_inner_line_names_file_and_line(
     tmp_path, library, capsys
 ):

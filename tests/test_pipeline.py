@@ -12,6 +12,7 @@ from titan import pipeline, prompts
 from titan.backend import (
     BackendConfig,
     BackendError,
+    ChatResponse,
     HttpBackend,
     RecordingBackend,
     ReplayBackend,
@@ -215,6 +216,41 @@ def test_failed_phases_report_the_first_in_phase_order(library):
     )
     assert record.failure_class == "backend_error"
     assert record.error == "input_extraction failed"
+    assert record.transcripts == []
+
+
+def test_a_prompt_that_cannot_be_built_fails_its_samples_without_raising(library):
+    class NumberSteps(ScriptedBackend):
+        def complete(self, phase, messages, temperature, sample_index=0):
+            response = super().complete(phase, messages, temperature, sample_index)
+            if phase == "step_extraction" and sample_index == 1:
+                return ChatResponse(text=7)  # an endpoint answered a number
+            return response
+
+    config = RunConfig(mode="titan", samples_k=3, temperature=0.7)
+    backend = NumberSteps(
+        {"input_extraction": ["i"] * 3, "step_extraction": ["s"] * 3,
+         "codegen": [GOOD_SCRIPT] * 3}
+    )
+    record = run_self_consistency(marble_instance(), backend, config, library)
+    assert record.sample_answers == ["30", None, "30"]
+    # the failed sample keeps its auxiliary transcripts and sends no codegen
+    phases = [t["phase"] for t in record.transcripts]
+    assert phases == [
+        "input_extraction", "step_extraction", "codegen",
+        "input_extraction", "step_extraction",
+        "input_extraction", "step_extraction", "codegen",
+    ]
+    assert backend.remaining("codegen") == 1
+
+    broken = dict(library)
+    del broken["step_extraction.txt"]
+    record = run_self_consistency(
+        marble_instance(), scripted_for("titan", k=3), config, broken
+    )
+    assert record.failure_class == "no_answer"
+    assert record.sample_answers == [None, None, None]
+    assert record.error == "KeyError: 'step_extraction.txt'"
     assert record.transcripts == []
 
 
@@ -585,6 +621,66 @@ def test_in_memory_backend_sends_every_phase_from_the_sample_thread(
     assert threads == [
         ("input_extraction", me), ("step_extraction", me), ("codegen", me)
     ]
+
+
+def test_replayed_samples_send_every_request_from_the_calling_thread_by_phase(
+    tmp_path, library
+):
+    path = tmp_path / "replay.jsonl"
+    config = RunConfig(mode="titan", samples_k=3, temperature=0.7)
+    recording = RecordingBackend(answers_backend([30, 28, 30]), path)
+    expected = run_self_consistency(marble_instance(), recording, config, library)
+
+    sent = []
+
+    class WatchedReplay(ReplayBackend):
+        def complete(self, phase, messages, temperature, sample_index=0):
+            sent.append((phase, sample_index, threading.current_thread()))
+            return super().complete(phase, messages, temperature, sample_index)
+
+    backend = WatchedReplay.from_path(path)
+    with ThreadPoolExecutor(max_workers=6) as pool:
+        record = run_self_consistency(
+            marble_instance(), backend, config, library, pool=pool
+        )
+    assert record.to_json_dict() == expected.to_json_dict()
+    me = threading.current_thread()
+    assert sent == [
+        (phase, s, me)
+        for phase in ("input_extraction", "step_extraction", "codegen")
+        for s in range(3)
+    ]
+
+
+def test_one_worker_pool_runs_every_sample(library):
+    # each pool task is one request or one guest and waits on no other, so
+    # a single worker still gets through three samples' requests and guests
+    question = "What is 2 plus 2?"
+    aux_prompts = {
+        prompts.build_input_extraction(question, library),
+        prompts.build_step_extraction(question, library),
+    }
+
+    def transport(url, headers, payload, timeout_s):
+        text = "```python\ndef solution():\n    return 4\n```"
+        if payload["messages"][-1]["content"] in aux_prompts:
+            text = "x = 2"
+        return 200, json.dumps({"choices": [{"message": {"content": text}}]})
+
+    backend = HttpBackend(
+        BackendConfig(kind="http", endpoint_url="http://unit.test/v1", model="m"),
+        transport=transport,
+        sleep=lambda s: None,
+    )
+    instance = TaskInstance(
+        id="four", dataset="external", prompt=question,
+        gold=GroundTruth("number", "4"),
+    )
+    config = RunConfig(mode="titan", samples_k=3, temperature=0.7)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        record = run_self_consistency(instance, backend, config, library, pool=pool)
+    assert record.sample_answers == ["4", "4", "4"]
+    assert record.correct
 
 
 def test_in_memory_failed_phase_still_sends_the_later_phases(library):
