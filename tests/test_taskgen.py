@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +12,13 @@ from titan.taskgen import (
     DATASET_TEMPLATES,
     DATASETS,
     TEMPLATES,
+    MAX_SAMPLER_ATTEMPTS,
     GenerationError,
     GroundTruth,
     OracleError,
     WordCorpus,
+    _LOWER,
+    _pick,
     generate,
     instance_from_json,
     oracle,
@@ -281,3 +287,128 @@ def test_instance_from_json_restores_order_free():
 def test_ground_truth_defaults():
     gt = GroundTruth("number", "3")
     assert not gt.order_free
+
+
+# --- pinned generation bytes --------------------------------------------
+
+# sha256 of write_jsonl(generate(dataset, 256, seed)) over the bundled
+# corpus; any change to a sampler's draws or to the instance format shows here
+PINNED_SHA256 = {
+    (0, "finding"): "0bf5090327bb1ce07479393eb56286bcde3926efec3fc1fec197889959e2a17e",
+    (0, "counting"): "68608e74542bb71c24f213c7fa62ad75d8f965c6bd9327217278fcd9f42328b3",
+    (0, "truefalse"): "71e54074c3d02f1759d204bdacabbf54b3a976d30eba207fa0f5a82e053e3df8",
+    (0, "generative"): "5643aef660451135ff0a6dc4da9aeafb94d10ef22d01ac7191f020d2bf0bfb55",
+    (1, "finding"): "692c0e87a35c2f79fd168460bbe4561d90fa85f1fc86a859c41bd46e9592a1df",
+    (1, "counting"): "c2ad2d268ec12125cdd9f925dd8274df96d7411dec3252a3b4f7a7debf46e526",
+    (1, "truefalse"): "77bfe5a33a647afbf56a032d4404e50c0c54e729a8df6da9c22f631588db7ae1",
+    (1, "generative"): "d64e76e6b9ba6d904c8578a5942cb90c4ba34a4eaece74cb0444114be39fe269",
+}
+
+
+@pytest.mark.parametrize("seed,dataset", sorted(PINNED_SHA256))
+def test_generated_bytes_are_pinned(tmp_path, corpus, seed, dataset):
+    path = tmp_path / "tasks.jsonl"
+    write_jsonl(generate(dataset, 256, rng_seed=seed, corpus=corpus), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[seed, dataset]
+
+
+# --- sampler draws match the full-scan samplers ---------------------------
+# The two functions below are the samplers as they were before the per-letter
+# index, kept verbatim: every draw of the current samplers must match them.
+
+
+def _reference_find_without_substring(rng, corpus):
+    for _ in range(MAX_SAMPLER_ATTEMPTS):
+        base = _pick(rng, corpus.words, lambda w: len(w) >= 3)
+        length = rng.choice((1, 2, 2, 3))
+        length = min(length, len(base))
+        start = rng.randrange(0, len(base) - length + 1)
+        target = base[start : start + length]
+        containing = [w for w in corpus.words if target in w]
+        lacking = [w for w in corpus.words if target not in w]
+        if len(containing) < 2 or not lacking:
+            continue
+        picked = rng.sample(containing, 2) + [rng.choice(lacking)]
+        if len(set(picked)) != 3:
+            continue
+        rng.shuffle(picked)
+        return {"target": target, "options": picked}
+    raise GenerationError("find_without_substring: no viable substring found")
+
+
+def _reference_find_same_count(rng, corpus):
+    for _ in range(MAX_SAMPLER_ATTEMPTS):
+        target = rng.choice(_LOWER)
+        with_one = [w for w in corpus.words if w.count(target) == 1]
+        if len(with_one) < 2:
+            continue
+        reference = rng.choice(with_one)
+        options = rng.sample(corpus.words, 3)
+        if reference in options:
+            continue
+        if not any(w.count(target) == 1 for w in options):
+            continue
+        return {"reference": reference, "target": target, "options": options}
+    raise GenerationError("find_same_count: no viable reference/options found")
+
+
+SMALL_CORPORA = {
+    # "q" and "z" are each held once by a single word: len(with_one) < 2
+    "lone_letter": ["cat", "cot", "act", "tack", "coat", "quit", "zoo", "taco"],
+    # every word holds "ab": targets "a", "b" and "ab" leave nothing lacking
+    "shared_substring": ["abc", "abd", "cab", "dab", "abba", "tabs", "crab"],
+    # duplicates make rng.sample pick the same word twice
+    "duplicates": ["cat", "cat", "cat", "cot", "dog", "dog", "cog", "act"],
+    # no draw can succeed: every attempt is spent, then GenerationError
+    "hopeless": ["aaa", "aaa", "aaa", "aaa"],
+}
+
+
+def _draw(sampler, seed, corpus):
+    rng = random.Random(seed)
+    try:
+        result = sampler(rng, corpus)
+    except GenerationError as exc:
+        result = ("raised", str(exc))
+    return result, rng.getstate()
+
+
+@pytest.mark.parametrize(
+    "sampler,reference",
+    [
+        (taskgen._sample_find_without_substring, _reference_find_without_substring),
+        (taskgen._sample_find_same_count, _reference_find_same_count),
+    ],
+    ids=["find_without_substring", "find_same_count"],
+)
+@pytest.mark.parametrize("corpus_name", ["bundled"] + sorted(SMALL_CORPORA))
+def test_samplers_draw_like_the_full_scan(corpus, sampler, reference, corpus_name):
+    if corpus_name != "bundled":
+        corpus = WordCorpus(words=SMALL_CORPORA[corpus_name], sentences=["a b"])
+    # a hopeless corpus spends every attempt on each seed, so it gets fewer
+    for seed in range(20 if corpus_name == "hopeless" else 200):
+        assert _draw(sampler, seed, corpus) == _draw(reference, seed, corpus), seed
+
+
+def test_nth_outside_skips_taken_indices():
+    taken = [0, 2, 3, 7]
+    outside = [i for i in range(12) if i not in taken]
+    assert [taskgen._nth_outside(taken, n) for n in range(len(outside))] == outside
+    assert taskgen._nth_outside([], 5) == 5
+
+
+def test_letter_index_never_goes_stale(corpus):
+    def corpus_of(words):
+        return WordCorpus(words=words, sentences=corpus.sentences)
+
+    words_a = list(corpus.words[:500])
+    words_b = list(corpus.words[500:1000])
+    first = corpus_of(words_a)
+    for used, words in [(first, words_a), (corpus_of(words_b), words_b), (first, words_a)]:
+        got = generate("finding", 64, rng_seed=11, corpus=used)
+        fresh = generate("finding", 64, rng_seed=11, corpus=corpus_of(words))
+        assert [i.to_json_dict() for i in got] == [i.to_json_dict() for i in fresh]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.words = tuple(words_b)
+    assert first.words == tuple(words_a) and isinstance(first.sentences, tuple)
+    assert first.holding_once("c") == tuple(w for w in words_a if w.count("c") == 1)
