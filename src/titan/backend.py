@@ -1,29 +1,31 @@
-"""Chat-completion backends: live HTTP, recorded replay, and scripted.
+"""Chat-completion backends: live HTTP and a replay store.
 
-All backends expose a single ``complete(phase, messages, temperature,
+Both expose a single ``complete(phase, messages, temperature,
 sample_index)`` method returning a ``ChatResponse``. Replay files key each
 recorded response by a content hash of (phase, messages, temperature) plus
 the sample index, so a recorded run can be replayed byte-for-byte without
 network access and multi-sample draws stay distinguishable.
 
 Responses carry no timing; the pipeline times each ``complete`` call.
-Backends that cannot vary between runs declare ``deterministic = True``.
-Backends that answer from memory, without waiting on anything, declare
-``in_memory = True``: the pipeline then sends an instance's requests one
-after another from the instance's own thread, because handing one to a
-pool thread costs more than the answer. A backend that does not declare
-it gets each phase's requests of an instance sent at once.
+A backend that cannot vary between runs has ``deterministic`` true. One
+that answers from memory, without waiting on anything, has ``in_memory``
+true: the pipeline then sends an instance's requests one after another
+from the instance's own thread, because handing one to a pool thread costs
+more than the answer. A backend without it gets each phase's requests of
+an instance sent at once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import random
+import sys
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 DEFAULT_TIMEOUT_S = 60.0
@@ -97,6 +99,29 @@ def json_lines(lines, path) -> "Iterator[tuple[str, dict]]":
         yield where, obj
 
 
+def whole_lines(path, cut: bool = False):
+    """The lines of ``path``, a file titan appends to, that end in a newline.
+
+    A line counts once its newline is written, so bytes after the last
+    newline are a line torn by a killed run. They are skipped with a
+    warning and, with ``cut``, cut from the file once every whole line has
+    been read, so the next line written starts on a line of its own.
+    """
+    end = 0
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):
+                print(
+                    f"warning: {path}:{line_no}: dropping unterminated last line",
+                    file=sys.stderr,
+                )
+                if cut:
+                    os.truncate(path, end)
+                return
+            end += len(line)
+            yield line
+
+
 def request_key(phase: str, messages, temperature: float) -> str:
     blob = canonical(
         {"phase": phase, "messages": messages, "temperature": temperature}
@@ -147,8 +172,6 @@ class HttpBackend:
         return base + "/chat/completions"
 
     def _headers(self) -> dict:
-        import os
-
         headers = {"Content-Type": "application/json"}
         key = os.environ.get(self.config.api_key_env, "")
         if key:
@@ -189,6 +212,8 @@ class HttpBackend:
             try:
                 parsed = json.loads(body)
                 text = parsed["choices"][0]["message"]["content"]
+                if not isinstance(text, str):  # null for a filtered completion
+                    raise TypeError(f"content is {json.dumps(text)}, not text")
             except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"malformed completion body: {exc}") from exc
             return ChatResponse(text=text, usage=parsed.get("usage"))
@@ -198,106 +223,75 @@ class HttpBackend:
 
 
 class ReplayBackend:
-    """Serve completions from a recorded JSONL file. Misses are errors."""
+    """Answer completions from a replay store held in memory.
 
-    deterministic = True
-    in_memory = True
+    A miss raises ``ReplayMissError``, or goes to backend ``inner`` when
+    there is one. Its answer is then kept, and appended to file
+    ``append_to`` as one store line that names the run's ``model``. A hit
+    takes no lock. A store with an ``inner`` waits on it, so it is neither
+    ``in_memory`` nor ``deterministic``.
+    """
 
-    def __init__(self, responses: "dict[tuple, ChatResponse]"):
+    def __init__(
+        self, responses: "dict[tuple, ChatResponse]", inner=None, append_to=None, model=""
+    ):
         self._responses = responses
+        self.inner, self._append_to, self._model = inner, append_to, model
+        self.in_memory = self.deterministic = inner is None
+        self._lock = None if inner is None else threading.Lock()
 
     @classmethod
-    def from_path(cls, path) -> "ReplayBackend":
-        """Load a replay file, keeping each line's response only.
+    def from_path(cls, path, inner=None, model: str = "") -> "ReplayBackend":
+        """Load replay file ``path``, keeping each line's response only.
 
-        A bad line raises ``BackendError`` naming ``path:line``.
+        A line of a model other than a non-empty ``model`` is left out. With
+        ``inner``, ``path`` is the store that misses are appended to: it may
+        be missing, and a torn last line is cut (``whole_lines``). A bad line
+        raises ``BackendError`` naming ``path:line``.
         """
         responses = {}
-        with open(path, "rb") as fh:
-            try:
-                for where, entry in json_lines(fh, path):
-                    try:
-                        key, text = entry["key"], entry["response_text"]
-                        sample_index = int(entry.get("sample_index", 0))
-                        if not isinstance(key, str) or not isinstance(text, str):
-                            raise TypeError("key and response_text must be strings")
-                    except (KeyError, TypeError, ValueError) as exc:
-                        raise ValueError(f"{where}: malformed line: {exc}") from None
-                    usage = entry.get("usage")
-                    responses[(key, sample_index)] = ChatResponse(text, usage)
-            except ValueError as exc:
-                raise BackendError(f"bad replay file: {exc}") from None
-        return cls(responses)
+        if inner is None or os.path.isfile(path):
+            lines = open(path, "rb") if inner is None else whole_lines(path, cut=True)
+            with contextlib.closing(lines):
+                try:
+                    for where, entry in json_lines(lines, path):
+                        try:
+                            key, text = entry["key"], entry["response_text"]
+                            sample_index = int(entry.get("sample_index", 0))
+                            if not isinstance(key, str) or not isinstance(text, str):
+                                raise TypeError("key and response_text must be strings")
+                        except (KeyError, TypeError, ValueError) as exc:
+                            raise ValueError(f"{where}: malformed line: {exc}") from None
+                        if model and entry.get("model", model) != model:
+                            continue
+                        usage = entry.get("usage")
+                        responses[(key, sample_index)] = ChatResponse(text, usage)
+                except ValueError as exc:
+                    raise BackendError(f"bad replay file: {exc}") from None
+        return cls(responses, inner, path if inner is not None else None, model)
 
     def complete(
         self, phase: str, messages, temperature: float, sample_index: int = 0
     ) -> ChatResponse:
         key = request_key(phase, messages, temperature)
         response = self._responses.get((key, sample_index))
-        if response is None:
+        if response is not None:
+            return response
+        if self.inner is None:
             raise ReplayMissError(
                 f"no recorded response for phase={phase} sample={sample_index} "
                 f"key={key[:12]}"
             )
-        return response
-
-
-class ScriptedBackend:
-    """Per-phase response queues for tests, first in first out.
-
-    Exhaustion is an error. The pipeline sends an instance's requests of a
-    phase in sample order, so with k samples, sample s gets the s-th of
-    the phase's next k items.
-    """
-
-    deterministic = True
-    in_memory = True
-
-    def __init__(self, responses: "dict[str, list]"):
-        self._queues = {phase: deque(items) for phase, items in responses.items()}
-
-    def complete(
-        self, phase: str, messages, temperature: float, sample_index: int = 0
-    ) -> ChatResponse:
-        try:  # popleft is atomic, so instances may share the backend
-            item = self._queues.get(phase, deque()).popleft()
-        except IndexError:
-            raise BackendError(
-                f"scripted backend exhausted for phase {phase!r}"
-            ) from None
-        if isinstance(item, ChatResponse):
-            return item
-        return ChatResponse(text=str(item))
-
-    def remaining(self, phase: str) -> int:
-        """How many of the phase's items no request has taken yet."""
-        return len(self._queues.get(phase, ()))
-
-
-class RecordingBackend:
-    """Wrap a backend and append every completion to a replay JSONL file."""
-
-    def __init__(self, inner, path):
-        self.inner = inner
-        self._path = path
-        self._lock = threading.Lock()
-
-    def complete(
-        self, phase: str, messages, temperature: float, sample_index: int = 0
-    ) -> ChatResponse:
         response = self.inner.complete(phase, messages, temperature, sample_index)
-        record = {
-            "key": request_key(phase, messages, temperature),
-            "phase": phase,
-            "request_messages": messages,
-            "temperature": temperature,
-            "sample_index": sample_index,
-            "response_text": response.text,
+        line = canonical({
+            "key": key, "model": self._model, "phase": phase,
+            "request_messages": messages, "temperature": temperature,
+            "sample_index": sample_index, "response_text": response.text,
             "usage": response.usage,
-        }
-        line = canonical(record)
+        })
         with self._lock:
-            with open(self._path, "a", encoding="utf-8") as fh:
+            self._responses[(key, sample_index)] = response
+            with open(self._append_to, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
         return response
 
@@ -308,5 +302,5 @@ def make_backend(config: BackendConfig):
     if config.kind == "replay":
         if not config.replay_path:
             raise BackendError("replay backend requires replay_path")
-        return ReplayBackend.from_path(config.replay_path)
+        return ReplayBackend.from_path(config.replay_path, model=config.model)
     raise BackendError(f"unknown backend kind {config.kind!r}")

@@ -2,7 +2,7 @@
 
 Subcommands: ``gen`` (synthesize task files), ``run`` (evaluate instances
 against a backend), ``report`` (accuracy table with optional baseline
-deltas), and ``record-replay`` (live run that also captures a replay file).
+deltas), and ``record-replay`` (a run over a replay store; only misses go live).
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 runtime failure.
 Records are flushed line by line so an interrupted run keeps everything it
@@ -27,7 +27,7 @@ from typing import Optional
 
 from . import backend as backend_mod
 from . import pipeline, prompts, scoring, taskgen
-from .backend import canonical, json_lines
+from .backend import canonical, json_lines, whole_lines
 
 COST_GUARD_REQUESTS = 200
 
@@ -145,32 +145,9 @@ _RECORD_STR_FIELDS = {
 }
 
 
-def _whole_lines(path: str, cut: bool = False):
-    """The lines of ``path``, a file titan appends to, that end in a newline.
-
-    A line counts once its newline is written, so bytes after the last
-    newline are a line torn by a killed run. They are skipped with a
-    warning and, with ``cut``, cut from the file once every whole line has
-    been read, so the next line written starts on a line of its own.
-    """
-    end = 0
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.endswith(b"\n"):
-                print(
-                    f"warning: {path}:{line_no}: dropping unterminated last line",
-                    file=sys.stderr,
-                )
-                if cut:
-                    os.truncate(path, end)
-                return
-            end += len(line)
-            yield line
-
-
 def _records(path: str, cut: bool = False):
     """Each whole record of records file ``path`` with its ``path:line``."""
-    for where, record in json_lines(_whole_lines(path, cut), path):
+    for where, record in json_lines(whole_lines(path, cut), path):
         for key, types in _RECORD_STR_FIELDS.items():
             if key in record and not isinstance(record[key], types):
                 raise ValueError(f"{where}: malformed record: {key} is not a string")
@@ -319,7 +296,8 @@ def _write_json(path, obj: dict) -> None:
         fh.write("\n")
 
 
-def _run_common(args, recording_path: Optional[str]) -> int:
+def cmd_run(args) -> int:
+    recording_path = getattr(args, "replay_out", None)  # record-replay's store
     file_cfg = _load_config_file(args.config)
     run_config, backend_config, templates_dir = _merge(file_cfg, args)
 
@@ -350,7 +328,7 @@ def _run_common(args, recording_path: Optional[str]) -> int:
             _check_resumed_config(manifest_path, config)
         kept = _resume_records(out_path, run_config, counts)
         if os.path.isfile(timing_path):
-            sidecar = json_lines(_whole_lines(timing_path, cut=True), timing_path)
+            sidecar = json_lines(whole_lines(timing_path, cut=True), timing_path)
             timed, left = sum(1 for _ in sidecar), len(kept)
             if timed > left:  # line i of the sidecar times record i
                 with open(timing_path, "rb+") as fh:
@@ -371,11 +349,13 @@ def _run_common(args, recording_path: Optional[str]) -> int:
 
     try:
         backend = _make_backend(backend_config)
+        if recording_path is not None:  # one store: only its misses go live
+            _ensure_parent(recording_path)
+            backend = backend_mod.ReplayBackend.from_path(
+                recording_path, backend, backend_config.model
+            )
     except backend_mod.BackendError as exc:
         raise UsageError(str(exc)) from None
-    if recording_path is not None:
-        _ensure_parent(recording_path)
-        backend = backend_mod.RecordingBackend(backend, recording_path)
 
     manifest = {
         "run_id": uuid.uuid4().hex[:12],
@@ -433,14 +413,6 @@ def _run_common(args, recording_path: Optional[str]) -> int:
         parts = ", ".join(f"{k}={v}" for k, v in sorted(session["failures"].items()))
         _say(f"failures: {parts}")
     return 0 if status == "completed" else 2
-
-
-def cmd_run(args) -> int:
-    return _run_common(args, recording_path=None)
-
-
-def cmd_record_replay(args) -> int:
-    return _run_common(args, recording_path=args.replay_out)
 
 
 # --- report ------------------------------------------------------------
@@ -519,7 +491,7 @@ def build_parser() -> _Parser:
     )
     _add_run_flags(rec)
     rec.add_argument("--replay-out", required=True, help="replay JSONL to record")
-    rec.set_defaults(fn=cmd_record_replay)
+    rec.set_defaults(fn=cmd_run)
 
     rep = subs.add_parser("report", help="accuracy table from records")
     rep.add_argument("--records", required=True)

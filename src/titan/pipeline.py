@@ -8,27 +8,26 @@ Modes:
   of the two auxiliary phases.
 * ``pal_zs``: a single prompt asking for a completed ``solution()``.
 
-``run_self_consistency`` (also named ``run_instance``) is the one
-per-instance path: it runs the whole phase set ``samples_k`` times and
-majority-votes the normalized answers, k=1 included. It never raises;
-every outcome lands in an ``EvalRecord`` with one failure class. The
-instance's thread runs its samples one phase at a time: it builds each
-auxiliary prompt once and sends all k*len(aux) auxiliary requests
-together, then the codegen request of each sample whose auxiliary
-phases all answered, then it processes each response and runs every
-runnable script. Each step ends only after all its calls ended. A
-sample's error is its first failed phase's, in phase order.
+``run_self_consistency`` is the one per-instance path: it runs the whole
+phase set ``samples_k`` times and majority-votes the normalized answers,
+k=1 included. It never raises; every outcome lands in an ``EvalRecord``
+with one failure class. The instance's thread runs its samples one phase
+at a time: it builds each auxiliary prompt once and sends all k*len(aux)
+auxiliary requests together, then the codegen request of each sample
+whose auxiliary phases all answered, then it processes each response and
+runs every runnable script. Each step ends only after all its calls
+ended. A sample's error is its first failed phase's, in phase order.
 
 A run has two thread pools. ``run_many``'s instance pool of
 ``concurrency`` workers (at concurrency 1, the caller's thread) runs
 ``run_self_consistency`` once per instance. Each task of its work pool
 is one request or one guest (``_work_pool``). A step of one call runs
-it on the instance's thread, and so does every request to a backend
-that declares ``in_memory`` (replay, scripted), which answers faster
-than a hand-off to a pool thread. ``concurrency`` is the only limit on
-a run: at most ``concurrency * k`` guests run at once, and at most
-``concurrency * k * max(len(aux), 1)`` requests are in flight, or
-``concurrency`` with an ``in_memory`` backend.
+it on the instance's thread, and so does every request to an
+``in_memory`` backend (a replay store with no live backend behind it),
+which answers faster than a hand-off to a pool thread. ``concurrency``
+is the only limit on a run: at most ``concurrency * k`` guests run at
+once, and at most ``concurrency * k * max(len(aux), 1)`` requests are in
+flight, or ``concurrency`` with an ``in_memory`` backend.
 
 Guests run through one ``executor.Helper`` per run: ``run_many`` owns it
 for all its instances, and a direct per-instance call owns one for its
@@ -373,9 +372,6 @@ def run_self_consistency(
         "guest_ms": [s.guest_ms for s in samples],
     }
     return record
-
-
-run_instance = run_self_consistency
 
 
 def run_many(

@@ -14,12 +14,12 @@ from titan.backend import (
     BackendConfig,
     HttpBackend,
     ReplayBackend,
-    ScriptedBackend,
     make_backend,
 )
-from titan.pipeline import RunConfig, run_instance, run_many, run_self_consistency
+from titan.pipeline import RunConfig, run_many, run_self_consistency
+from titan.pipeline import run_self_consistency as run_instance
 
-from conftest import literal_solution_code, write_replay
+from conftest import ScriptedBackend, literal_solution_code, write_replay
 
 
 def _report(number, description, ok):

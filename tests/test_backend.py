@@ -16,13 +16,13 @@ from titan.backend import (
     BackendError,
     ChatResponse,
     HttpBackend,
-    RecordingBackend,
     ReplayBackend,
     ReplayMissError,
-    ScriptedBackend,
     make_backend,
     request_key,
 )
+
+from conftest import ScriptedBackend
 
 MSGS = [{"role": "user", "content": "hello"}]
 
@@ -254,6 +254,17 @@ def test_http_malformed_body_is_error():
         backend.complete("codegen", MSGS, 0.0)
 
 
+@pytest.mark.parametrize("content", [None, 7, ["a"]])
+def test_http_content_that_is_not_text_is_error(content):
+    # an OpenAI-compatible server sends null content for a filtered completion
+    body = json.dumps({"choices": [{"message": {"content": content}}]})
+    fake = FakeTransport([(200, body)])
+    backend = HttpBackend(http_config(), transport=fake, sleep=lambda s: None)
+    with pytest.raises(BackendError, match="malformed completion body"):
+        backend.complete("codegen", MSGS, 0.0)
+    assert fake.calls == 1
+
+
 def test_http_endpoint_not_doubled():
     backend = HttpBackend(
         http_config(endpoint_url="http://unit.test/v1/chat/completions/"),
@@ -283,7 +294,7 @@ def test_record_then_replay_round_trip(tmp_path):
             ]
         }
     )
-    recorder = RecordingBackend(inner, path)
+    recorder = ReplayBackend({}, inner, path)
     recorder.complete("codegen", MSGS, 0.7, sample_index=0)
     recorder.complete("codegen", MSGS, 0.7, sample_index=1)
 
@@ -300,7 +311,7 @@ def test_record_then_replay_round_trip(tmp_path):
 
 def test_replay_miss_is_error(tmp_path):
     path = tmp_path / "replay.jsonl"
-    recorder = RecordingBackend(ScriptedBackend({"codegen": ["x"]}), path)
+    recorder = ReplayBackend({}, ScriptedBackend({"codegen": ["x"]}), path)
     recorder.complete("codegen", MSGS, 0.0)
     replay = ReplayBackend.from_path(path)
     with pytest.raises(ReplayMissError):
@@ -309,6 +320,51 @@ def test_replay_miss_is_error(tmp_path):
         replay.complete("codegen", MSGS, 0.0, sample_index=3)
     with pytest.raises(ReplayMissError):
         replay.complete("codegen", [{"role": "user", "content": "other"}], 0.0)
+
+
+def test_store_sends_only_misses_and_appends_each_answer(tmp_path):
+    path = tmp_path / "store.jsonl"
+    inner = ScriptedBackend({"codegen": ["first", "second"]})
+    store = ReplayBackend({}, inner, path, model="m")
+    assert not store.in_memory and not store.deterministic
+    assert store.complete("codegen", MSGS, 0.0).text == "first"
+    assert store.complete("codegen", MSGS, 0.0).text == "first"  # a hit
+    assert inner.remaining("codegen") == 1
+    (line,) = [json.loads(line) for line in path.read_text().splitlines()]
+    assert line == {
+        "key": request_key("codegen", MSGS, 0.0), "model": "m", "phase": "codegen",
+        "request_messages": MSGS, "temperature": 0.0, "sample_index": 0,
+        "response_text": "first", "usage": None,
+    }
+
+    reopened = ReplayBackend.from_path(path, inner, model="m")
+    assert not reopened.in_memory and not reopened.deterministic
+    assert reopened.complete("codegen", MSGS, 0.0).text == "first"
+    assert reopened.complete("codegen", MSGS, 0.5).text == "second"
+    assert len(path.read_text().splitlines()) == 2
+    missing = ReplayBackend.from_path(tmp_path / "new.jsonl", inner, model="m")
+    with pytest.raises(BackendError, match="exhausted"):
+        missing.complete("codegen", MSGS, 0.0)
+    assert not (tmp_path / "new.jsonl").exists()
+
+
+def test_replay_skips_lines_of_another_model(tmp_path):
+    path = tmp_path / "replay.jsonl"
+    entries = [
+        {"key": request_key("codegen", MSGS, 0.0), "response_text": "any model"},
+        {"key": request_key("codegen", MSGS, 0.5), "response_text": "other",
+         "model": "other"},
+        {"key": request_key("codegen", MSGS, 0.7), "response_text": "mine",
+         "model": "m"},
+    ]
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    replay = ReplayBackend.from_path(path, model="m")
+    assert replay.complete("codegen", MSGS, 0.0).text == "any model"
+    assert replay.complete("codegen", MSGS, 0.7).text == "mine"
+    with pytest.raises(ReplayMissError):
+        replay.complete("codegen", MSGS, 0.5)
+    every = ReplayBackend.from_path(path)  # no model: every line
+    assert every.complete("codegen", MSGS, 0.5).text == "other"
 
 
 def test_replay_malformed_line_fails_at_load(tmp_path):
@@ -326,7 +382,7 @@ def test_replay_malformed_line_fails_at_load(tmp_path):
 def test_loaded_replay_keeps_no_request_messages(tmp_path):
     path = tmp_path / "replay.jsonl"
     messages = [{"role": "user", "content": "a prompt only the request holds"}]
-    recorder = RecordingBackend(ScriptedBackend({"codegen": ["answer"]}), path)
+    recorder = ReplayBackend({}, ScriptedBackend({"codegen": ["answer"]}), path)
     recorder.complete("codegen", messages, 0.0)
     assert b"a prompt only the request holds" in path.read_bytes()
     replay = ReplayBackend.from_path(path)

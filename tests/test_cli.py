@@ -225,9 +225,9 @@ def test_run_resume_drops_torn_last_line(tmp_path, library, capsys, monkeypatch)
         lines = source.read_bytes().splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
     cutters = []
-    whole_lines = cli._whole_lines
+    whole_lines = cli.whole_lines
     monkeypatch.setattr(
-        cli, "_whole_lines",
+        cli, "whole_lines",
         lambda path, cut=False: (cut and cutters.append(path), whole_lines(path, cut))[1],
     )
     capsys.readouterr()
@@ -765,6 +765,148 @@ def test_record_replay_captures_and_replays(tmp_path, library, monkeypatch):
     records = [json.loads(line) for line in first_out.read_text().splitlines()]
     assert all(r["correct"] for r in records)
     assert timing_ids(second_out) == timing_ids(first_out)
+
+
+def answering_transport(library, instances_path, sent, kill_at=None):
+    """A transport answering every prompt of titan's modes for the instances.
+
+    Each request's ``(phase, request_key)`` is appended to ``sent``; the
+    ``kill_at``-th request raises KeyboardInterrupt, as Ctrl-C would.
+    """
+    loaded = taskgen.read_jsonl(instances_path)
+    aux = {}
+    for inst in loaded:
+        aux[prompts.build_input_extraction(inst.prompt, library)] = "input_extraction"
+        aux[prompts.build_step_extraction(inst.prompt, library)] = "step_extraction"
+
+    def transport(url, headers, payload, timeout_s):
+        messages = payload["messages"]
+        content = messages[-1]["content"]
+        phase = aux.get(content, "codegen")
+        sent.append((phase, request_key(phase, messages, payload["temperature"])))
+        if len(sent) == kill_at:
+            raise KeyboardInterrupt
+        text = "x = 1"
+        if phase == "codegen":
+            inst = next(i for i in loaded if i.prompt in content)
+            text = literal_solution_code(inst.gold)
+        return 200, json.dumps({"choices": [{"message": {"content": text}}]})
+
+    return transport
+
+
+def live_backend(monkeypatch, transport):
+    monkeypatch.setattr(
+        cli, "_make_backend",
+        lambda config: HttpBackend(config, transport=transport, sleep=lambda s: None),
+    )
+
+
+def record_args(instances, out, store, mode="titan", extra=()):
+    return [
+        "record-replay", "--instances", str(instances), "--out", str(out),
+        "--mode", mode, "--backend", "http", "--endpoint-url", "http://unit.test/v1",
+        "--model", "m", "--replay-out", str(store), *extra,
+    ]
+
+
+def test_record_replay_store_answers_ablations_and_reruns(
+    tmp_path, library, monkeypatch
+):
+    instances = gen_tasks(tmp_path)
+    sent = []
+    live_backend(monkeypatch, answering_transport(library, instances, sent))
+    store = tmp_path / "store.jsonl"
+    first = tmp_path / "titan.jsonl"
+    assert cli.main(record_args(instances, first, store)) == 0
+    assert len(sent) == 3 * 6
+
+    sent.clear()
+    no_input = tmp_path / "no_input.jsonl"
+    assert cli.main(record_args(instances, no_input, store, "titan_no_input")) == 0
+    assert [phase for phase, _ in sent] == ["codegen"] * 6
+    records = [json.loads(line) for line in no_input.read_text().splitlines()]
+    assert all(r["correct"] for r in records)
+
+    sent.clear()
+    rerun = tmp_path / "rerun.jsonl"
+    assert cli.main(record_args(instances, rerun, store)) == 0
+    assert sent == []
+    assert rerun.read_bytes() == first.read_bytes()
+    lines = [json.loads(line) for line in store.read_text().splitlines()]
+    assert len(lines) == 4 * 6
+    assert {line["model"] for line in lines} == {"m"}
+
+
+def test_record_replay_resume_sends_nothing_the_store_holds(
+    tmp_path, library, monkeypatch
+):
+    instances = gen_tasks(tmp_path)
+    sent = []
+    # the second instance's codegen request is the sixth
+    live_backend(monkeypatch, answering_transport(library, instances, sent, 6))
+    store, out = tmp_path / "store.jsonl", tmp_path / "records.jsonl"
+    assert cli.main(record_args(instances, out, store)) == 2
+    assert len(out.read_text().splitlines()) == 1
+    held = {json.loads(line)["key"] for line in store.read_text().splitlines()}
+    assert len(held) == 5
+
+    sent.clear()
+    live_backend(monkeypatch, answering_transport(library, instances, sent))
+    assert cli.main(record_args(instances, out, store, extra=("--resume",))) == 0
+    assert len(sent) == 3 * 6 - 5
+    assert not {key for _, key in sent} & held
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 6 and all(r["correct"] for r in records)
+
+
+def test_record_replay_cuts_a_torn_store_line_and_asks_again(
+    tmp_path, library, monkeypatch, capsys
+):
+    instances = gen_tasks(tmp_path)
+    sent = []
+    live_backend(monkeypatch, answering_transport(library, instances, sent))
+    store = tmp_path / "store.jsonl"
+    assert cli.main(record_args(instances, tmp_path / "a.jsonl", store, "pal_zs")) == 0
+    whole = store.read_bytes()
+    lines = whole.splitlines(keepends=True)
+    store.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+
+    sent.clear()
+    capsys.readouterr()
+    assert cli.main(record_args(instances, tmp_path / "b.jsonl", store, "pal_zs")) == 0
+    assert f"{store}:6: dropping unterminated last line" in capsys.readouterr().err
+    assert len(sent) == 1
+    assert store.read_bytes() == whole  # cut, then the same line appended
+
+
+def test_store_serves_no_line_of_another_model(tmp_path, library, monkeypatch):
+    instances = gen_tasks(tmp_path)
+    unmarked = build_pal_replay(tmp_path, instances, library)  # lines without model
+    other = tmp_path / "other.jsonl"
+    other.write_text("".join(
+        json.dumps({**json.loads(line), "model": "other"}) + "\n"
+        for line in unmarked.read_text().splitlines()
+    ))
+
+    def failures(out):
+        return {json.loads(line)["failure_class"] for line in out.read_text().splitlines()}
+
+    out = tmp_path / "records.jsonl"
+    assert cli.main(run_args(instances, out, unmarked, extra=("--model", "m"))) == 0
+    assert failures(out) == {"none"}
+    assert cli.main(run_args(instances, out, other, extra=("--model", "m"))) == 0
+    assert failures(out) == {"backend_error"}
+    assert cli.main(run_args(instances, out, other)) == 0  # no model: every line
+    assert failures(out) == {"none"}
+
+    sent = []
+    live_backend(monkeypatch, answering_transport(library, instances, sent))
+    assert cli.main(record_args(instances, out, unmarked, "pal_zs")) == 0
+    assert sent == []
+    assert cli.main(record_args(instances, out, other, "pal_zs")) == 0
+    assert len(sent) == 6
+    assert failures(out) == {"none"}
 
 
 def test_record_replay_requires_http_backend(tmp_path, capsys):

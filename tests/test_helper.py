@@ -13,10 +13,11 @@ import time
 import pytest
 
 from titan import _helper, executor
-from titan.backend import ScriptedBackend
 from titan.executor import Helper, execute
 from titan.pipeline import RunConfig, run_many
 from titan.taskgen import GroundTruth, TaskInstance
+
+from conftest import ScriptedBackend
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

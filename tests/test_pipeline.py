@@ -14,9 +14,7 @@ from titan.backend import (
     BackendError,
     ChatResponse,
     HttpBackend,
-    RecordingBackend,
     ReplayBackend,
-    ScriptedBackend,
     request_key,
 )
 from titan.executor import Helper
@@ -26,13 +24,13 @@ from titan.pipeline import (
     ConfigError,
     EvalRecord,
     RunConfig,
-    run_instance,
     run_many,
     run_self_consistency,
 )
+from titan.pipeline import run_self_consistency as run_instance
 from titan.taskgen import GroundTruth, TaskInstance
 
-from conftest import write_replay
+from conftest import ScriptedBackend, write_replay
 
 QUESTION = (
     "Ed had 22 more marbles than Doug. Doug lost 8 of his marbles at the "
@@ -590,7 +588,7 @@ def test_in_memory_backend_sends_every_phase_from_the_sample_thread(
     tmp_path, library, monkeypatch
 ):
     path = tmp_path / "replay.jsonl"
-    recording = RecordingBackend(scripted_for("titan"), path)
+    recording = ReplayBackend({}, scripted_for("titan"), path)
     expected = run_instance(marble_instance(), recording, RunConfig(), library)
 
     threads = []
@@ -628,7 +626,7 @@ def test_replayed_samples_send_every_request_from_the_calling_thread_by_phase(
 ):
     path = tmp_path / "replay.jsonl"
     config = RunConfig(mode="titan", samples_k=3, temperature=0.7)
-    recording = RecordingBackend(answers_backend([30, 28, 30]), path)
+    recording = ReplayBackend({}, answers_backend([30, 28, 30]), path)
     expected = run_self_consistency(marble_instance(), recording, config, library)
 
     sent = []
@@ -681,6 +679,23 @@ def test_one_worker_pool_runs_every_sample(library):
         record = run_self_consistency(instance, backend, config, library, pool=pool)
     assert record.sample_answers == ["4", "4", "4"]
     assert record.correct
+
+
+def test_null_completion_content_is_a_backend_error(library):
+    # an OpenAI-compatible server sends null content for a filtered completion
+    def transport(url, headers, payload, timeout_s):
+        return 200, json.dumps({"choices": [{"message": {"content": None}}]})
+
+    backend = HttpBackend(
+        BackendConfig(kind="http", endpoint_url="http://unit.test/v1", model="m"),
+        transport=transport,
+        sleep=lambda s: None,
+    )
+    record = run_self_consistency(
+        marble_instance(), backend, RunConfig(mode="pal_zs"), library
+    )
+    assert record.failure_class == "backend_error"
+    assert record.error.startswith("malformed completion body")
 
 
 def test_in_memory_failed_phase_still_sends_the_later_phases(library):
