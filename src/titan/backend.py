@@ -13,6 +13,11 @@ true: the pipeline then sends an instance's requests one after another
 from the instance's own thread, because handing one to a pool thread costs
 more than the answer. A backend without it gets each phase's requests of
 an instance sent at once.
+
+``make_backend`` builds the backend a ``BackendConfig`` names. Its
+``replay_path`` is the run's one replay store: ``replay`` answers from it
+alone, and ``http`` with it sends only the store's misses live, appending
+each answer; ``http`` without it sends every request.
 """
 
 from __future__ import annotations
@@ -246,11 +251,14 @@ class ReplayBackend:
 
         A line of a model other than a non-empty ``model`` is left out. With
         ``inner``, ``path`` is the store that misses are appended to: it may
-        be missing, and a torn last line is cut (``whole_lines``). A bad line
-        raises ``BackendError`` naming ``path:line``.
+        be missing, and a torn last line is cut (``whole_lines``). Without,
+        a missing ``path`` raises ``BackendError``, and so does a bad line,
+        naming ``path:line``.
         """
+        if inner is None and not os.path.isfile(path):
+            raise BackendError(f"replay file not found: {path}")
         responses = {}
-        if inner is None or os.path.isfile(path):
+        if os.path.isfile(path):
             lines = open(path, "rb") if inner is None else whole_lines(path, cut=True)
             with contextlib.closing(lines):
                 try:
@@ -298,7 +306,10 @@ class ReplayBackend:
 
 def make_backend(config: BackendConfig):
     if config.kind == "http":
-        return HttpBackend(config)
+        live = HttpBackend(config)
+        if not config.replay_path:
+            return live
+        return ReplayBackend.from_path(config.replay_path, live, config.model)
     if config.kind == "replay":
         if not config.replay_path:
             raise BackendError("replay backend requires replay_path")

@@ -1,8 +1,10 @@
 """Command line interface.
 
 Subcommands: ``gen`` (synthesize task files), ``run`` (evaluate instances
-against a backend), ``report`` (accuracy table with optional baseline
-deltas), and ``record-replay`` (a run over a replay store; only misses go live).
+against a backend) and ``report`` (accuracy table with optional baseline
+deltas). ``run --replay`` names the run's replay store: ``--backend replay``
+answers from it alone, and ``--backend http`` sends only its misses live,
+appending their answers to it.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 runtime failure.
 Records are flushed line by line so an interrupted run keeps everything it
@@ -30,8 +32,6 @@ from . import pipeline, prompts, scoring, taskgen
 from .backend import canonical, json_lines, whole_lines
 
 COST_GUARD_REQUESTS = 200
-
-_make_backend = backend_mod.make_backend
 
 # Config keys and their types. BackendConfig.kind is spelled backend_kind
 # in config files. Each run flag's dest is its config key.
@@ -286,7 +286,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# --- run / record-replay -----------------------------------------------
+# --- run ---------------------------------------------------------------
 
 
 def _write_json(path, obj: dict) -> None:
@@ -297,12 +297,8 @@ def _write_json(path, obj: dict) -> None:
 
 
 def cmd_run(args) -> int:
-    recording_path = getattr(args, "replay_out", None)  # record-replay's store
     file_cfg = _load_config_file(args.config)
     run_config, backend_config, templates_dir = _merge(file_cfg, args)
-
-    if recording_path is not None and backend_config.kind != "http":
-        raise UsageError("record-replay requires an http backend")
 
     try:
         library = prompts.load_templates(templates_dir)
@@ -347,13 +343,10 @@ def cmd_run(args) -> int:
             f"(> {COST_GUARD_REQUESTS}); pass --yes to confirm"
         )
 
+    if backend_config.kind == "http" and backend_config.replay_path:
+        _ensure_parent(backend_config.replay_path)  # the store is made on a miss
     try:
-        backend = _make_backend(backend_config)
-        if recording_path is not None:  # one store: only its misses go live
-            _ensure_parent(recording_path)
-            backend = backend_mod.ReplayBackend.from_path(
-                recording_path, backend, backend_config.model
-            )
+        backend = backend_mod.make_backend(backend_config)
     except backend_mod.BackendError as exc:
         raise UsageError(str(exc)) from None
 
@@ -365,9 +358,6 @@ def cmd_run(args) -> int:
         "instances_path": os.path.abspath(args.instances),
         "records_path": os.path.abspath(out_path),
         "timing_path": os.path.abspath(timing_path),
-        "replay_recording_path": (
-            os.path.abspath(recording_path) if recording_path else None
-        ),
         "total_instances": len(instances),
         "skipped_existing": len(instances) - len(pending),
         # counted over the kept records and this session's
@@ -439,34 +429,6 @@ def cmd_report(args) -> int:
 # --- parser ------------------------------------------------------------
 
 
-def _add_run_flags(sub) -> None:
-    sub.add_argument("--instances", required=True, help="task JSONL to evaluate")
-    sub.add_argument("--out", required=True, help="records JSONL to write")
-    sub.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
-    sub.add_argument("--config", help="flat JSON config file")
-    sub.add_argument("--mode", choices=pipeline.MODES)
-    sub.add_argument("--temperature", type=float)
-    sub.add_argument(
-        "--samples", type=int, dest="samples_k", help="self-consistency sample count"
-    )
-    sub.add_argument("--exec-timeout-s", type=float)
-    sub.add_argument("--concurrency", type=int)
-    sub.add_argument("--case-sensitive", action="store_true", default=None)
-    sub.add_argument("--system-prompt")
-    sub.add_argument("--backend", choices=("http", "replay"), dest="backend_kind")
-    sub.add_argument("--endpoint-url")
-    sub.add_argument("--model")
-    sub.add_argument("--api-key-env")
-    sub.add_argument("--request-timeout-s", type=float, dest="timeout_s")
-    sub.add_argument("--max-retries", type=int)
-    sub.add_argument(
-        "--replay", dest="replay_path", help="replay JSONL to serve completions from"
-    )
-    sub.add_argument("--templates-dir")
-    sub.add_argument("--resume", action="store_true")
-    sub.add_argument("--yes", action="store_true", help="confirm large live runs")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="titan", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -483,15 +445,32 @@ def build_parser() -> _Parser:
     gen.set_defaults(fn=cmd_gen)
 
     run = subs.add_parser("run", help="evaluate instances against a backend")
-    _add_run_flags(run)
-    run.set_defaults(fn=cmd_run)
-
-    rec = subs.add_parser(
-        "record-replay", help="live run that also captures a replay file"
+    run.add_argument("--instances", required=True, help="task JSONL to evaluate")
+    run.add_argument("--out", required=True, help="records JSONL to write")
+    run.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
+    run.add_argument("--config", help="flat JSON config file")
+    run.add_argument("--mode", choices=pipeline.MODES)
+    run.add_argument("--temperature", type=float)
+    run.add_argument(
+        "--samples", type=int, dest="samples_k", help="self-consistency sample count"
     )
-    _add_run_flags(rec)
-    rec.add_argument("--replay-out", required=True, help="replay JSONL to record")
-    rec.set_defaults(fn=cmd_run)
+    run.add_argument("--exec-timeout-s", type=float)
+    run.add_argument("--concurrency", type=int)
+    run.add_argument("--case-sensitive", action="store_true", default=None)
+    run.add_argument("--system-prompt")
+    run.add_argument("--backend", choices=("http", "replay"), dest="backend_kind")
+    run.add_argument("--endpoint-url")
+    run.add_argument("--model")
+    run.add_argument("--api-key-env")
+    run.add_argument("--request-timeout-s", type=float, dest="timeout_s")
+    run.add_argument("--max-retries", type=int)
+    run.add_argument(
+        "--replay", dest="replay_path", help="replay store JSONL (http: misses go live)"
+    )
+    run.add_argument("--templates-dir")
+    run.add_argument("--resume", action="store_true")
+    run.add_argument("--yes", action="store_true", help="confirm large live runs")
+    run.set_defaults(fn=cmd_run)
 
     rep = subs.add_parser("report", help="accuracy table from records")
     rep.add_argument("--records", required=True)

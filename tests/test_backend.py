@@ -412,6 +412,8 @@ def test_make_backend_dispatch(tmp_path):
     assert isinstance(replay, ReplayBackend)
     http = make_backend(http_config())
     assert isinstance(http, HttpBackend)
+    store = make_backend(http_config(replay_path=str(tmp_path / "store.jsonl")))
+    assert isinstance(store, ReplayBackend) and isinstance(store.inner, HttpBackend)
     with pytest.raises(BackendError, match="replay_path"):
         make_backend(BackendConfig(kind="replay"))
     for kind in ("scripted", "carrier-pigeon"):

@@ -548,6 +548,14 @@ def test_run_missing_instances_is_usage_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_run_missing_replay_file_is_usage_error(tmp_path, capsys):
+    instances = gen_tasks(tmp_path)
+    absent = tmp_path / "absent-replay.jsonl"
+    rc = cli.main(run_args(instances, tmp_path / "o.jsonl", absent))
+    assert rc == 1
+    assert f"replay file not found: {absent}" in capsys.readouterr().err
+
+
 def test_run_config_file_with_flag_override(tmp_path, library):
     instances = gen_tasks(tmp_path)
     replay = build_pal_replay(tmp_path, instances, library)
@@ -724,7 +732,20 @@ def test_crashed_run_marks_manifest_failed(tmp_path, library, monkeypatch):
     assert manifest["completed"] == 1
 
 
-# --- record-replay -----------------------------------------------------
+# --- a live run over a replay store ------------------------------------
+
+
+def live_backend(monkeypatch, transport):
+    """Answer every request an HttpBackend sends with ``transport``."""
+    monkeypatch.setattr(HttpBackend, "_requests_transport", staticmethod(transport))
+
+
+def record_args(instances, out, store, mode="titan", extra=()):
+    return [
+        "run", "--instances", str(instances), "--out", str(out),
+        "--mode", mode, "--backend", "http", "--endpoint-url", "http://unit.test/v1",
+        "--model", "m", "--replay", str(store), *extra,
+    ]
 
 
 def test_record_replay_captures_and_replays(tmp_path, library, monkeypatch):
@@ -741,23 +762,12 @@ def test_record_replay_captures_and_replays(tmp_path, library, monkeypatch):
     def transport(url, headers, payload, timeout_s):
         return 200, next(bodies)  # concurrency 1: requests come in instance order
 
-    def fake_make_backend(config):
-        assert config.kind == "http"
-        return HttpBackend(config, transport=transport)
-
-    monkeypatch.setattr(cli, "_make_backend", fake_make_backend)
+    live_backend(monkeypatch, transport)
     recorded = tmp_path / "recorded-replay.jsonl"
     first_out = tmp_path / "live.jsonl"
-    rc = cli.main([
-        "record-replay", "--instances", str(instances),
-        "--out", str(first_out), "--mode", "pal_zs",
-        "--backend", "http", "--endpoint-url", "http://unit.test/v1",
-        "--model", "m", "--replay-out", str(recorded),
-    ])
-    assert rc == 0
+    assert cli.main(record_args(instances, first_out, recorded, "pal_zs")) == 0
     assert len(recorded.read_text().strip().splitlines()) == 6
 
-    monkeypatch.undo()  # replay half goes through the real factory
     second_out = tmp_path / "replayed.jsonl"
     rc = cli.main(run_args(instances, second_out, recorded))
     assert rc == 0
@@ -795,21 +805,6 @@ def answering_transport(library, instances_path, sent, kill_at=None):
     return transport
 
 
-def live_backend(monkeypatch, transport):
-    monkeypatch.setattr(
-        cli, "_make_backend",
-        lambda config: HttpBackend(config, transport=transport, sleep=lambda s: None),
-    )
-
-
-def record_args(instances, out, store, mode="titan", extra=()):
-    return [
-        "record-replay", "--instances", str(instances), "--out", str(out),
-        "--mode", mode, "--backend", "http", "--endpoint-url", "http://unit.test/v1",
-        "--model", "m", "--replay-out", str(store), *extra,
-    ]
-
-
 def test_record_replay_store_answers_ablations_and_reruns(
     tmp_path, library, monkeypatch
 ):
@@ -839,7 +834,7 @@ def test_record_replay_store_answers_ablations_and_reruns(
 
 
 def test_record_replay_resume_sends_nothing_the_store_holds(
-    tmp_path, library, monkeypatch
+    tmp_path, library, monkeypatch, capsys
 ):
     instances = gen_tasks(tmp_path)
     sent = []
@@ -851,7 +846,17 @@ def test_record_replay_resume_sends_nothing_the_store_holds(
     held = {json.loads(line)["key"] for line in store.read_text().splitlines()}
     assert len(held) == 5
 
+    # the store decides a record's answers, so a resume keeps it
+    records, stored = out.read_bytes(), store.read_bytes()
+    other = tmp_path / "other-store.jsonl"
     sent.clear()
+    capsys.readouterr()
+    assert cli.main(record_args(instances, out, other, extra=("--resume",))) == 1
+    err = capsys.readouterr().err
+    assert f"backend.replay_path was {json.dumps(str(store))}" in err
+    assert out.read_bytes() == records and store.read_bytes() == stored
+    assert not other.exists() and sent == []
+
     live_backend(monkeypatch, answering_transport(library, instances, sent))
     assert cli.main(record_args(instances, out, store, extra=("--resume",))) == 0
     assert len(sent) == 3 * 6 - 5
@@ -878,6 +883,21 @@ def test_record_replay_cuts_a_torn_store_line_and_asks_again(
     assert f"{store}:6: dropping unterminated last line" in capsys.readouterr().err
     assert len(sent) == 1
     assert store.read_bytes() == whole  # cut, then the same line appended
+
+
+def test_http_run_over_a_full_store_sends_nothing(tmp_path, library, monkeypatch):
+    instances = gen_tasks(tmp_path)
+    sent = []
+    live_backend(monkeypatch, answering_transport(library, instances, sent))
+    store = tmp_path / "store.jsonl"
+    first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+    assert cli.main(record_args(instances, first, store, "pal_zs")) == 0
+    assert len(sent) == 6
+
+    sent.clear()
+    assert cli.main(record_args(instances, again, store, "pal_zs")) == 0
+    assert sent == []
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_store_serves_no_line_of_another_model(tmp_path, library, monkeypatch):
@@ -907,18 +927,6 @@ def test_store_serves_no_line_of_another_model(tmp_path, library, monkeypatch):
     assert cli.main(record_args(instances, out, other, "pal_zs")) == 0
     assert len(sent) == 6
     assert failures(out) == {"none"}
-
-
-def test_record_replay_requires_http_backend(tmp_path, capsys):
-    instances = gen_tasks(tmp_path)
-    rc = cli.main([
-        "record-replay", "--instances", str(instances),
-        "--out", str(tmp_path / "o.jsonl"), "--mode", "pal_zs",
-        "--backend", "replay", "--replay", str(tmp_path / "r.jsonl"),
-        "--replay-out", str(tmp_path / "rec.jsonl"),
-    ])
-    assert rc == 1
-    assert "http" in capsys.readouterr().err
 
 
 # --- report ------------------------------------------------------------
