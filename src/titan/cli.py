@@ -186,12 +186,31 @@ _RESUME_FREE_KEYS = {
 }
 
 
+# Config keys that name a file or directory: two spellings of one path are
+# one value, e.g. "r.jsonl" and "./r.jsonl" from the same directory.
+_PATH_KEYS = {"backend.replay_path", "templates_dir"}
+
+
+def _same_setting(key: str, was, now) -> bool:
+    """Whether ``now`` keeps the resumed run's value ``was`` of config ``key``."""
+    if was == now or key not in _PATH_KEYS:
+        return was == now
+    if not (isinstance(was, str) and isinstance(now, str) and was and now):
+        return False
+    try:
+        return os.path.realpath(was) == os.path.realpath(now)
+    except ValueError:  # a NUL byte names no file
+        return False
+
+
 def _check_resumed_config(path: str, config: dict) -> None:
     """Refuse to resume the run of manifest ``path`` under another config.
 
     ``config`` is this run's manifest ``config``. Its ``templates_dir``
     and every key of its ``run`` and ``backend`` sections but
-    ``_RESUME_FREE_KEYS`` must hold the value the old manifest has.
+    ``_RESUME_FREE_KEYS`` must hold the value the old manifest has; a
+    ``_PATH_KEYS`` path may be spelled another way, resolved from the
+    current directory.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -208,18 +227,18 @@ def _check_resumed_config(path: str, config: dict) -> None:
         raise UsageError(
             f"{path}: manifest has no config.run and config.backend objects"
         )
-    changed = [
-        f"{section}.{key} was {json.dumps(old[section].get(key))}, "
-        f"now {json.dumps(value)}"
+    settings = [
+        (f"{section}.{key}", old[section].get(key), value)
         for section, free in _RESUME_FREE_KEYS.items()
         for key, value in config[section].items()
-        if key not in free and old[section].get(key) != value
+        if key not in free
     ]
-    if old.get("templates_dir") != config["templates_dir"]:
-        changed.append(
-            f"templates_dir was {json.dumps(old.get('templates_dir'))}, "
-            f"now {json.dumps(config['templates_dir'])}"
-        )
+    settings.append(("templates_dir", old.get("templates_dir"), config["templates_dir"]))
+    changed = [
+        f"{key} was {json.dumps(was)}, now {json.dumps(now)}"
+        for key, was, now in settings
+        if not _same_setting(key, was, now)
+    ]
     if changed:
         raise UsageError(
             f"{path}: the run to resume had another config: {'; '.join(changed)}"

@@ -397,6 +397,42 @@ def test_run_resume_refuses_other_templates(tmp_path, library, capsys):
     assert (out.read_bytes(), manifest_path.read_bytes()) == before
 
 
+@pytest.mark.parametrize("spelling", ["absolute", "dot_slash"])
+def test_run_resume_takes_another_spelling_of_the_same_paths(
+    tmp_path, library, monkeypatch, spelling
+):
+    instances = gen_tasks(tmp_path)
+    build_pal_replay(tmp_path, instances, library)
+    shutil.copytree(Path(prompts.__file__).parent / "templates", tmp_path / "templates")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "records.jsonl"
+    # the run to resume names its store and templates relative to the cwd
+    flags = ("--templates-dir", "templates")
+    assert cli.main(run_args(instances, out, "replay.jsonl", extra=flags)) == 0
+    full = out.read_bytes()
+    out.write_bytes(b"".join(full.splitlines(keepends=True)[:3]))
+    spell = {"absolute": lambda name: str(tmp_path / name),
+             "dot_slash": lambda name: os.path.join(".", name)}[spelling]
+    flags = ("--resume", "--templates-dir", spell("templates"))
+    assert cli.main(run_args(instances, out, spell("replay.jsonl"), extra=flags)) == 0
+    assert out.read_bytes() == full
+
+
+def test_run_resume_refuses_another_store_spelled_alike(tmp_path, library, capsys):
+    instances, replay, out, _ = _cut_run(tmp_path, library)
+    other = tmp_path / "other" / replay.name
+    other.parent.mkdir()
+    shutil.copy(replay, other)
+    before = out.read_bytes()
+    capsys.readouterr()
+    rc = cli.main(run_args(instances, out, other, extra=("--resume",)))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"backend.replay_path was {json.dumps(str(replay))}" in err
+    assert "templates_dir" not in err
+    assert out.read_bytes() == before
+
+
 def test_run_resume_ignores_keys_that_cannot_change_a_record(tmp_path, library):
     instances, replay, out, full = _cut_run(tmp_path, library)
     flags = (

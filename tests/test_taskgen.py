@@ -361,6 +361,11 @@ SMALL_CORPORA = {
     "duplicates": ["cat", "cat", "cat", "cot", "dog", "dog", "cog", "act"],
     # no draw can succeed: every attempt is spent, then GenerationError
     "hopeless": ["aaa", "aaa", "aaa", "aaa"],
+    # a --words file may hold any character: the index keys on characters
+    "any_character": [
+        "café", "Café", "naïve", "NAÏVE", "don't", "it's", "R2D2", "b52s",
+        "über", "tea", "cat", "x-ray", "Zoë", "ça", "100%", "l'été",
+    ],
 }
 
 
@@ -397,6 +402,10 @@ def test_nth_outside_skips_taken_indices():
     assert taskgen._nth_outside([], 5) == 5
 
 
+def _scan_holding(words, c):
+    return [i for i, w in enumerate(words) if c in w]
+
+
 def test_letter_index_never_goes_stale(corpus):
     def corpus_of(words):
         return WordCorpus(words=words, sentences=corpus.sentences)
@@ -408,7 +417,56 @@ def test_letter_index_never_goes_stale(corpus):
         got = generate("finding", 64, rng_seed=11, corpus=used)
         fresh = generate("finding", 64, rng_seed=11, corpus=corpus_of(words))
         assert [i.to_json_dict() for i in got] == [i.to_json_dict() for i in fresh]
+        for c in "ceq":
+            assert list(used.holding(c)) == _scan_holding(words, c)
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.words = tuple(words_b)
     assert first.words == tuple(words_a) and isinstance(first.sentences, tuple)
     assert first.holding_once("c") == tuple(w for w in words_a if w.count("c") == 1)
+
+
+@pytest.mark.parametrize("corpus_name", ["bundled"] + sorted(SMALL_CORPORA))
+def test_holding_lists_every_character_like_a_full_scan(corpus, corpus_name):
+    if corpus_name != "bundled":
+        corpus = WordCorpus(words=SMALL_CORPORA[corpus_name], sentences=["a b"])
+    chars = set("".join(corpus.words))
+    for c in chars:
+        assert list(corpus.holding(c)) == _scan_holding(corpus.words, c), c
+    absent = next(c for c in "\x00€#" if c not in chars)
+    assert list(corpus.holding(absent)) == []
+    for letter in _LOWER:
+        assert corpus.holding_once(letter) == tuple(
+            w for w in corpus.words if w.count(letter) == 1
+        )
+
+
+class _CountedWords(tuple):
+    """A tuple that counts the passes iteration makes over it to the end."""
+
+    passes = 0
+
+    def __iter__(self):
+        yield from super().__iter__()
+        self.passes += 1
+
+
+def _counted_corpus(corpus):
+    fresh = WordCorpus(words=corpus.words, sentences=corpus.sentences)
+    object.__setattr__(fresh, "words", _CountedWords(corpus.words))
+    return fresh
+
+
+def test_finding_scans_the_vocabulary_at_most_once(corpus):
+    counted = _counted_corpus(corpus)
+    plain = generate("finding", 256, rng_seed=0, corpus=corpus)
+    got = generate("finding", 256, rng_seed=0, corpus=counted)
+    assert [i.to_json_dict() for i in got] == [i.to_json_dict() for i in plain]
+    assert counted.words.passes <= 1
+
+
+@pytest.mark.parametrize("dataset", ["counting", "truefalse", "generative"])
+def test_other_families_never_build_the_word_indexes(corpus, dataset):
+    counted = _counted_corpus(corpus)
+    generate(dataset, 256, rng_seed=0, corpus=counted)
+    assert counted.words.passes == 0
+    assert "_holding" not in vars(counted) and counted._once == {}
