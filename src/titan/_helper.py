@@ -6,15 +6,23 @@ on the control socket, then serves one request per message: the guest's
 run dir, with the write ends of its stdout, stderr and status pipes
 attached as file descriptors.
 
-For each request the helper forks a waiter, and the waiter forks the
-guest. The waiter writes ``pid N`` on the status pipe, then one byte on a
-go pipe that the guest waits on, waits for the guest and writes ``exit
-STATUS`` (the raw wait status), or ``error MESSAGE`` if it could not fork.
-A guest whose waiter died before the go byte exits without running, so a
-request with no ``pid`` never ran its script. Every process is waited for
+The process tree is helper -> spawner -> guests. The helper forks one
+long-lived spawner from its warm state and passes each request on to it
+over a socket pair; the spawner forks every guest itself, so a guest costs
+one fork. Per guest the spawner writes ``pid N`` on the status pipe, then
+one byte on a go pipe that the guest waits on, and, once the guest ends,
+``exit STATUS`` (the raw wait status); ``error MESSAGE`` if it could not
+fork. A guest whose spawner died before the go byte exits without running,
+so a request with no ``pid`` never ran its script.
+
+The spawner, not the helper, is each guest's parent, so a guest that kills
+the helper is still reported. A guest that kills the spawner loses its
+status, and so does any other guest of that spawner; the helper forks a
+new spawner when a send to the old one fails. Every process is waited for
 by its parent, the helper included by the runner, so guest CPU time
-reaches the runner's ``RUSAGE_CHILDREN``. At EOF on the control socket
-the helper reaps its remaining waiters and exits.
+reaches the runner's ``RUSAGE_CHILDREN``: at EOF on the control socket the
+helper closes the spawner's socket, the spawner reaps its guests and
+exits, and the helper reaps it and exits.
 
 The guest runs in a new session, with the run dir as cwd, stdin on
 /dev/null (the helper's own stdin), stdout and stderr on the pipes and no
@@ -25,6 +33,7 @@ other file descriptor open. Its script is compiled with the filename
 import atexit
 import builtins
 import os
+import select
 import socket
 import sys
 import types
@@ -38,64 +47,139 @@ def main() -> None:
     for name in sys.argv[2:]:
         __import__(name)
     control.send(b"ready")
+    spawner = None
     while True:
         message, fds, _, _ = socket.recv_fds(control, 4096, 3)
         if not message:
             break
-        try:
-            pid = os.fork()
-        except OSError as exc:
-            os.write(fds[2], f"error cannot fork a waiter: {exc}\n".encode())
-        else:
-            if pid == 0:
-                try:
-                    control.close()
-                    _waiter(os.fsdecode(message), *fds)
-                finally:
-                    os._exit(0)  # never back into the serving loop
+        for _ in range(2):  # a dead spawner refuses the send: fork a new one once
+            try:
+                if spawner is None:
+                    spawner = _Spawner(control, fds)
+                socket.send_fds(spawner.sock, [message], fds)
+                break
+            except OSError as exc:
+                if spawner is None:
+                    _report(fds[2], f"error cannot fork a spawner: {exc}\n")
+                    break
+                spawner.close()
+                spawner = None
         for fd in fds:
             os.close(fd)
-        _reap(os.WNOHANG)
-    _reap(0)
+    if spawner is not None:
+        spawner.close()
 
 
-def _reap(flags: int) -> None:
-    """Wait for finished waiters; with ``flags`` 0, for all of them."""
-    while True:
+class _Spawner:
+    """The helper's end of its spawner: the child's pid and a socket to it."""
+
+    def __init__(self, control: socket.socket, held: "list[int]"):
+        self.sock, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         try:
-            pid, _ = os.waitpid(-1, flags)
-        except ChildProcessError:
-            return
-        if pid == 0:
-            return
+            self.pid = os.fork()
+        except OSError:
+            self.sock.close()
+            theirs.close()
+            raise
+        if self.pid == 0:
+            try:
+                # Hold nothing of the helper's: a copy of the control socket or
+                # of the pipes of the request in hand would outlive their use.
+                control.close()
+                self.sock.close()
+                for fd in held:
+                    os.close(fd)
+                _spawn(theirs)
+            finally:
+                os._exit(0)  # never back into the serving loop
+        theirs.close()
+
+    def close(self) -> None:
+        """Send EOF and wait for the spawner, which first reaps its guests."""
+        self.sock.close()
+        os.waitpid(self.pid, 0)
 
 
-def _waiter(run_dir: str, out: int, err: int, status: int) -> None:
+def _spawn(sock: socket.socket) -> None:
+    """Fork a guest per request on ``sock`` and report each one's exit.
+
+    Single-threaded, since it forks: one poll loop over the socket and a
+    pidfd per running guest. After EOF it waits for the guests left.
+    """
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    guests = {}  # pidfd -> (pid, status fd)
+    serving = True
+    while serving or guests:
+        for fd, _ in poller.poll():
+            if fd in guests:
+                poller.unregister(fd)
+                os.close(fd)
+                pid, status = guests.pop(fd)
+                _, wait_status = os.waitpid(pid, 0)
+                _report(status, "exit %d\n" % wait_status)
+                os.close(status)
+                continue
+            message, fds, _, _ = socket.recv_fds(sock, 4096, 3)
+            if not message:
+                poller.unregister(sock)
+                serving = False
+                continue
+            out, err, status = fds
+            try:
+                pid = _fork_guest(os.fsdecode(message), out, err, status)
+                pidfd = os.pidfd_open(pid)
+            except OSError as exc:
+                _report(status, f"error cannot start the guest: {exc}\n")
+                os.close(status)
+            else:
+                guests[pidfd] = (pid, status)
+                poller.register(pidfd, select.POLLIN)
+            finally:
+                os.close(out)
+                os.close(err)
+
+
+def _fork_guest(run_dir: str, out: int, err: int, status: int) -> int:
+    """Fork the guest of one request, name it on ``status`` and let it go.
+
+    Returns the guest's pid. If ``pid`` cannot be written, the guest gets
+    no go byte and exits without running.
+    """
+    go_read, go_write = os.pipe()
     try:
-        go_read, go_write = os.pipe()
         pid = os.fork()
-    except OSError as exc:
-        os.write(status, f"error cannot fork the guest: {exc}\n".encode())
-        return
+    except OSError:
+        os.close(go_read)
+        os.close(go_write)
+        raise
     if pid == 0:
         try:
             os.close(go_write)
             # Start only on the go byte, once the runner knows the pid: a
-            # guest that killed this waiter first could not be killed on
-            # timeout. At EOF the waiter died before naming the guest, and
+            # guest that killed the spawner first could not be killed on
+            # timeout. At EOF the spawner died before naming the guest, and
             # the runner, seeing no pid, sends the request again.
             if os.read(go_read, 1):
                 _guest(run_dir, out, err)
         finally:
             os._exit(1)
     os.close(go_read)
-    os.close(out)
-    os.close(err)
-    os.write(status, b"pid %d\n" % pid)
-    os.write(go_write, b"g")
+    try:
+        os.write(status, b"pid %d\n" % pid)
+        os.write(go_write, b"g")
+    except OSError:
+        pass  # the runner is gone: the guest sees EOF and never runs
     os.close(go_write)
-    _, wait_status = os.waitpid(pid, 0)
-    os.write(status, b"exit %d\n" % wait_status)
+    return pid
+
+
+def _report(status: int, line: str) -> None:
+    """Write ``line`` on a status pipe whose runner may be gone."""
+    try:
+        os.write(status, line.encode())
+    except OSError:
+        pass
 
 
 def _guest(run_dir: str, out: int, err: int) -> None:

@@ -120,6 +120,8 @@ class GeneratedScript:
 
 
 def _normalize_newlines(text: str) -> str:
+    if "\r" not in text:
+        return text
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -128,6 +130,8 @@ def _parse_fenced_blocks(text: str) -> "list[tuple[str, str]]":
 
     An unclosed final fence is tolerated; its body runs to end of text.
     """
+    if "```" not in text:
+        return []  # no line can be a fence
     blocks = []
     body: "Optional[list[str]]" = None
     info = ""
@@ -161,7 +165,7 @@ def _line_is_codelike(line: str) -> bool:
     stripped = line.strip()
     if stripped.startswith("#"):
         return True
-    if any(stripped.startswith(k) for k in _STMT_KEYWORDS):
+    if stripped.startswith(_STMT_KEYWORDS):
         return True
     if _ASSIGN_RE.match(stripped) or _CALL_RE.match(stripped):
         return True
@@ -219,6 +223,8 @@ def extract_code(response: str) -> Optional[str]:
 
 
 def _expand_leading_tabs(code: str) -> "tuple[str, bool]":
+    if "\t" not in code:
+        return code, False
     out = []
     changed = False
     for line in code.split("\n"):

@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -350,3 +352,33 @@ def test_process_response_never_raises(doc):
                             ERROR_UNREPAIRABLE)
     if script.error is None:
         assert script.repaired is not None
+
+
+# One response of each shape the early returns in codeproc skip work for:
+# CRLF and lone-CR line ends, tab indents, fenced, unclosed, bare and no code.
+MIXED_RESPONSES = [
+    "```python\r\ndef solution():\r\n    return 2 + 2\r\n```\r\n",
+    "Here:\r```python\rdef solution():\r    x = 3\r    return x\r```\r",
+    "```python\ndef solution():\n\tvalue = 7\n\treturn value\n```",
+    "def solution():\n\tif True:\n\t\treturn 'tab'\n\nThat is the answer.",
+    "```\nx = 5\nprint(x * 2)\n```",
+    "```text ```python\ndef solution():\n    return math.sqrt(16)\n```",
+    "Some prose first.\n```py\ndef f(a, b):\n    return a + b\n\nf(1, 2)\n",
+    "import math\nresult = math.floor(2.5)\nprint(result)\n\nDone.",
+    "return 4",
+    "raise ValueError('x')\nassert True\n# a comment\n",
+    "def solution(n):\n    return n + 1\n",
+    "I cannot write code for this question.",
+    "",
+    "```python\ndef solution(:\n    return 1\n```",
+    "  indented prose line\nwhile x:\n pass",
+]
+MIXED_RESPONSES_SHA256 = "dc6b890b7d1cf546c3032a8340896ba68f3026a0ab50de55f804985b269a5ac9"
+
+
+def test_process_response_of_a_mixed_corpus_is_pinned():
+    blob = json.dumps(
+        [process_response(doc).to_json_dict() for doc in MIXED_RESPONSES],
+        sort_keys=True,
+    ).encode()
+    assert hashlib.sha256(blob).hexdigest() == MIXED_RESPONSES_SHA256

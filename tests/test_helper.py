@@ -95,6 +95,29 @@ def test_guest_cpu_reaches_rusage_children():
     assert children_cpu() - before >= 4 * 0.1
 
 
+PARENT = "import os\nprint(os.getppid())\n"
+KILL_PARENT = PARENT + "import signal\nos.kill(os.getppid(), signal.SIGKILL)\n"
+
+
+def test_guests_of_one_helper_share_one_spawner():
+    with Helper() as helper:
+        outcomes = [execute(PARENT, helper=helper) for _ in range(2)]
+        assert [o.exit for o in outcomes] == ["ok", "ok"]
+        assert outcomes[0].stdout == outcomes[1].stdout
+        assert int(outcomes[0].stdout) != helper._proc.pid
+
+
+def test_close_leaves_neither_the_helper_nor_its_spawner():
+    helper = Helper()
+    spawner = int(execute(PARENT, helper=helper).stdout)
+    proc = helper._proc
+    helper.close()
+    assert proc.returncode is not None
+    for pid in (proc.pid, spawner):
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
 # --- output --------------------------------------------------------------
 
 
@@ -168,6 +191,33 @@ def test_guest_killing_its_parent_ends_cleanly():
         assert execute("print('next')\n", helper=helper).stdout == "next\n"
 
 
+def test_guest_killing_its_spawner_gets_a_new_spawner_not_a_new_helper(helper_starts):
+    with Helper() as helper:
+        first = execute(KILL_PARENT, timeout_s=5.0, helper=helper)
+        assert (first.exit, first.exit_code) == ("nonzero", None)
+        second = execute(PARENT, helper=helper)
+        assert second.exit == "ok"
+        assert second.stdout != first.stdout
+    assert len(helper_starts) == 1
+
+
+def test_spawner_forked_with_a_request_in_hand_does_not_hold_its_pipes():
+    with Helper() as helper:
+        first = execute(KILL_PARENT, helper=helper)
+        # the next request is in the helper's hands when it forks the new
+        # spawner; pipes held there would keep this guest open to its timeout
+        start = time.monotonic()
+        second = execute(PARENT, timeout_s=5.0, helper=helper)
+        assert time.monotonic() - start < 2.0
+        assert second.exit == "ok"
+        assert second.stdout != first.stdout
+
+
+def test_guest_ending_by_a_signal_reports_it():
+    outcome = execute("import os, signal\nos.kill(os.getpid(), signal.SIGTERM)\n")
+    assert (outcome.exit, outcome.exit_code) == ("nonzero", -15)
+
+
 def test_guest_of_a_waiter_that_died_before_naming_it_never_runs(tmp_path):
     marker = tmp_path / "ran"
     (tmp_path / _helper.SCRIPT).write_text(f"open({str(marker)!r}, 'w').close()\n")
@@ -180,7 +230,7 @@ def test_guest_of_a_waiter_that_died_before_naming_it_never_runs(tmp_path):
         try:
             os.close(out_r)
             os.close(err_r)
-            _helper._waiter(str(tmp_path), out_w, err_w, status_w)
+            _helper._fork_guest(str(tmp_path), out_w, err_w, status_w)
         finally:
             os._exit(0)
     for fd in (out_w, err_w, status_w):
@@ -206,6 +256,30 @@ def test_guest_killing_the_helper_gets_it_restarted(helper_starts):
         assert execute("print('next')\n", helper=helper).stdout == "next\n"
     assert len(helper_starts) == 2
     assert helper_starts[0].returncode == -9
+
+
+def test_guest_killing_the_helper_does_not_hold_up_the_next_request(tmp_path):
+    started = tmp_path / "started"
+    sleeper = f"import time\nopen({str(started)!r}, 'w').close()\ntime.sleep(3)\n"
+    with Helper() as helper:
+        assert execute("pass\n", helper=helper).exit == "ok"  # starts the helper
+        outcomes = []
+        runner = threading.Thread(
+            target=lambda: outcomes.append(execute(sleeper, helper=helper))
+        )
+        runner.start()
+        deadline = time.monotonic() + 10.0
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        kill = f"import os, signal\nos.kill({helper._proc.pid}, signal.SIGKILL)\n"
+        assert execute(kill, helper=helper).exit == "ok"
+        # the old spawner outlives the helper while the sleeper runs; a copy
+        # of the control socket held there would queue this request behind it
+        start = time.monotonic()
+        assert execute("print('next')\n", helper=helper).stdout == "next\n"
+        assert time.monotonic() - start < 1.5
+        runner.join(20.0)
+        assert [o.exit for o in outcomes] == ["ok"]
 
 
 def test_requests_lost_by_a_dying_helper_are_sent_again_to_one_new_helper(
