@@ -1,10 +1,11 @@
 """Main program of the executor's helper interpreter (a fork server).
 
 ``executor.Helper`` starts it as ``python3 _helper.py CONTROL_FD MODULE...``;
-titan never imports it. The helper pre-imports each MODULE, sends ``ready``
-on the control socket, then serves one request per message: the guest's
-run dir, with the write ends of its stdout, stderr and status pipes
-attached as file descriptors.
+titan imports it only for ``SCRIPT``, the name each guest's script is written
+under. The helper pre-imports each MODULE, sends ``ready`` on the control
+socket, then serves one request per message: the guest's run dir, with the
+write ends of its stdout, stderr and status pipes attached as file
+descriptors.
 
 The process tree is helper -> spawner -> guests. The helper forks one
 long-lived spawner from its warm state and passes each request on to it

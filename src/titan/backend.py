@@ -30,8 +30,11 @@ import random
 import sys
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
+
+from . import __version__
 
 DEFAULT_TIMEOUT_S = 60.0
 DEFAULT_MAX_RETRIES = 3
@@ -138,8 +141,9 @@ class HttpBackend:
     """OpenAI-compatible chat completions over HTTP.
 
     The API key is read from the environment variable named in the config,
-    never from the config file itself. Transport and sleep are injectable
-    so retry behaviour is testable without sockets.
+    never from the config file itself. Transport and sleep are injectable,
+    so retry behaviour is tested without sockets; the default transport,
+    ``_post`` on ``urllib``, is tested against a loopback server.
     """
 
     deterministic = False
@@ -155,20 +159,47 @@ class HttpBackend:
             raise BackendError("http backend requires endpoint_url")
         if not config.model:
             raise BackendError("http backend requires model")
+        try:
+            parts = urllib.parse.urlsplit(config.endpoint_url)
+            parts.port  # a port that is not a number in range raises ValueError
+        except ValueError:
+            parts = None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+            raise BackendError(
+                "http backend requires an http:// or https:// endpoint_url "
+                f"with a host, got {config.endpoint_url!r}"
+            )
         self.config = config
-        self._transport = transport or self._requests_transport
+        self._transport = transport or self._post
         self._sleep = sleep
         self._rng = rng or random.Random()
 
     @staticmethod
-    def _requests_transport(url, headers, payload, timeout_s):
-        import requests
+    def _post(url, headers, payload, timeout_s):
+        """POST ``payload`` as JSON on a new connection; ``(status, text)``.
 
+        Any HTTP status is returned, not raised. A failure to connect or to
+        read the whole body raises an ``OSError``.
+        """
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        data = json.dumps(payload).encode("utf-8")
+        request = urllib.request.Request(url, data, headers, method="POST")
         try:
-            resp = requests.post(url, headers=headers, json=payload, timeout=timeout_s)
-        except requests.RequestException as exc:
-            raise ConnectionError(str(exc)) from exc
-        return resp.status_code, resp.text
+            try:
+                resp = urllib.request.urlopen(request, timeout=timeout_s)
+            except urllib.error.HTTPError as exc:  # an OSError: catch it first
+                resp = exc
+            with resp:
+                body, charset = resp.read(), resp.headers.get_content_charset("utf-8")
+        except http.client.HTTPException as exc:  # a body cut short, say
+            raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
+        try:
+            return resp.status, body.decode(charset, errors="replace")
+        except LookupError:  # a charset Python does not know
+            return resp.status, body.decode("utf-8", errors="replace")
 
     def _endpoint(self) -> str:
         base = self.config.endpoint_url.rstrip("/")
@@ -177,7 +208,9 @@ class HttpBackend:
         return base + "/chat/completions"
 
     def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
+        headers = {
+            "Content-Type": "application/json", "User-Agent": f"titan/{__version__}"
+        }
         key = os.environ.get(self.config.api_key_env, "")
         if key:
             headers["Authorization"] = f"Bearer {key}"
@@ -204,7 +237,7 @@ class HttpBackend:
                 status, body = self._transport(
                     url, headers, payload, self.config.timeout_s
                 )
-            except (ConnectionError, OSError, TimeoutError) as exc:
+            except OSError as exc:  # ConnectionError and TimeoutError too
                 last_error = f"transport failure: {exc}"
                 continue
             if status in (401, 403):

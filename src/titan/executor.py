@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from . import codeproc
+from . import _helper, codeproc
 
 DEFAULT_TIMEOUT_S = 10.0
 # select.poll takes its timeout as a C int of milliseconds
@@ -48,15 +48,13 @@ MAX_TIMEOUT_S = (2**31 - 1) / 1000.0
 DEFAULT_OUTPUT_CAP = 64 * 1024
 DEFAULT_INTERPRETER = "python3"
 
-SCRIPT_NAME = "main.py"
-
 # Environment variables passed through to the guest. PYTHONHASHSEED is
 # pinned so set iteration inside guest scripts cannot break the
 # byte-determinism of captured output across runs.
 _ENV_ALLOWLIST = ("PATH", "LANG", "LC_ALL")
 _ENV_EXTRA = {"PYTHONHASHSEED": "0"}
 
-_HELPER_MAIN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_helper.py")
+_HELPER_MAIN = os.path.abspath(_helper.__file__)
 _CHUNK = 64 * 1024
 # After the timeout kill, how long to wait for the pipes to close. Only a
 # descendant that left the guest's process group can hold them longer.
@@ -231,7 +229,7 @@ def execute(
     with helper_scope(helper) as helper:
         run_dir = tempfile.mkdtemp(prefix="titan-exec-")
         try:
-            with open(os.path.join(run_dir, SCRIPT_NAME), "w", encoding="utf-8") as fh:
+            with open(os.path.join(run_dir, _helper.SCRIPT), "w", encoding="utf-8") as fh:
                 fh.write(script)
             return _run(helper, run_dir, timeout_s, output_cap)
         finally:

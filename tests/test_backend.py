@@ -1,14 +1,21 @@
+import contextlib
 import dataclasses
+import http.server
 import json
+import os
 import pickle
+import re
+import socket
 import sys
 import threading
+import urllib.request
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import titan
 from titan import backend
 
 from titan.backend import (
@@ -31,7 +38,7 @@ def ok_body(text, usage=None):
     payload = {"choices": [{"message": {"content": text}}]}
     if usage is not None:
         payload["usage"] = usage
-    return json.dumps(payload)
+    return json.dumps(payload, ensure_ascii=False)  # non-ASCII goes as UTF-8
 
 
 class FakeTransport:
@@ -279,6 +286,173 @@ def test_http_requires_endpoint_and_model():
         HttpBackend(BackendConfig(kind="http", model="m"))
     with pytest.raises(BackendError):
         HttpBackend(BackendConfig(kind="http", endpoint_url="http://x"))
+
+
+@pytest.mark.parametrize(
+    "url",
+    ["api.example.com/v1", "ftp://api.example.com/v1", "http:///v1",
+     "https://api.example.com:port/v1", "http://[::1/v1"],
+)
+def test_http_refuses_an_endpoint_it_cannot_post_to(url):
+    # without a scheme and host every request was retried as a transport
+    # failure, sleeping through the whole backoff before giving up
+    with pytest.raises(BackendError, match=re.escape(repr(url))):
+        HttpBackend(http_config(endpoint_url=url), transport=FakeTransport([]))
+
+
+@pytest.mark.parametrize(
+    "url", ["https://api.example.com/v1", "HTTP://127.0.0.1:8080", "http://[::1]:80/v1"]
+)
+def test_http_accepts_an_http_or_https_endpoint_with_a_host(url):
+    HttpBackend(http_config(endpoint_url=url), transport=FakeTransport([]))
+
+
+# --- the default transport, against a loopback server -------------------
+
+
+class _LoopbackServer(http.server.ThreadingHTTPServer):
+    daemon_threads = False  # so server_close joins every handler thread
+
+
+class _Handler(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.command, self.path, self.headers, json.loads(body)))
+        self.server.replies.pop(0)(self)
+
+    def log_message(self, *args):
+        pass
+
+
+def reply(status, body="", framing="length", charset="utf-8"):
+    """A reply whose body is framed by its length, "chunked", by "close" of
+    the connection, or "short": a length past the bytes sent. A ``str``
+    body is sent as UTF-8."""
+    data = body.encode("utf-8") if isinstance(body, str) else body
+
+    def send(handler):
+        handler.send_response(status)
+        handler.send_header("Content-Type", f"application/json; charset={charset}")
+        if framing == "chunked":
+            handler.send_header("Transfer-Encoding", "chunked")
+            handler.end_headers()
+            for start in range(0, len(data), 7):
+                chunk = data[start:start + 7]
+                handler.wfile.write(b"%x\r\n%s\r\n" % (len(chunk), chunk))
+            handler.wfile.write(b"0\r\n\r\n")
+        elif framing == "close":
+            handler.send_header("Connection", "close")
+            handler.end_headers()
+            handler.wfile.write(data)
+        else:
+            extra = 10 if framing == "short" else 0
+            handler.send_header("Content-Length", str(len(data) + extra))
+            handler.end_headers()
+            handler.wfile.write(data)
+        handler.close_connection = True
+
+    return send
+
+
+def stall(handler):
+    handler.server.release.wait(10)  # answer nothing until the test ends
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """A server on 127.0.0.1 answering each POST with the next of ``replies``."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    monkeypatch.setattr(urllib.request, "_opener", None)  # proxies are read once
+    server = _LoopbackServer(("127.0.0.1", 0), _Handler)
+    server.seen, server.replies, server.release = [], [], threading.Event()
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,))
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.release.set()
+        server.shutdown()
+        server.server_close()  # joins the handler threads
+        thread.join(5)
+        assert not thread.is_alive()
+
+
+def loopback_backend(port, sleeps, **overrides):
+    config = http_config(endpoint_url=f"http://127.0.0.1:{port}/v1", **overrides)
+    return HttpBackend(config, sleep=sleeps.append)
+
+
+UNICODE_MSGS = [{"role": "user", "content": "答案 é?"}]
+
+
+def test_post_sends_json_with_content_type_key_and_user_agent(loopback, monkeypatch):
+    monkeypatch.setenv("TITAN_API_KEY", "sk-loop")
+    loopback.replies.append(reply(200, ok_body("fine")))
+    backend = loopback_backend(loopback.server_port, [])
+    assert backend.complete("codegen", UNICODE_MSGS, 0.5).text == "fine"
+    ((method, path, headers, payload),) = loopback.seen
+    assert (method, path) == ("POST", "/v1/chat/completions")
+    assert payload == {"model": "test-model", "messages": UNICODE_MSGS, "temperature": 0.5}
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Authorization"] == "Bearer sk-loop"
+    assert headers["User-Agent"] == f"titan/{titan.__version__}"
+
+
+@pytest.mark.parametrize("framing", ["length", "chunked", "close"])
+def test_post_reads_the_whole_body_of_each_framing(loopback, framing):
+    text = "答案 é " * 50
+    loopback.replies.append(reply(200, ok_body(text, {"total_tokens": 3}), framing))
+    response = loopback_backend(loopback.server_port, []).complete("codegen", MSGS, 0.0)
+    assert response.text == text
+    assert response.usage == {"total_tokens": 3}
+
+
+@pytest.mark.parametrize(
+    "charset, codec", [("iso-8859-1", "latin-1"), ("x-unknown", "utf-8")]
+)
+def test_post_decodes_by_the_charset_sent_else_utf8(loopback, charset, codec):
+    loopback.replies.append(reply(200, ok_body("é").encode(codec), charset=charset))
+    assert loopback_backend(loopback.server_port, []).complete("p", MSGS, 0.0).text == "é"
+
+
+def test_post_auth_failure_is_one_request(loopback):
+    loopback.replies.append(reply(401, '{"error": "bad key"}'))
+    sleeps = []
+    with pytest.raises(BackendError, match="authentication failed"):
+        loopback_backend(loopback.server_port, sleeps).complete("codegen", MSGS, 0.0)
+    assert len(loopback.seen) == 1
+    assert sleeps == []
+
+
+def test_post_retries_429_once(loopback):
+    loopback.replies += [reply(429, "slow down"), reply(200, ok_body("after"))]
+    sleeps = []
+    backend = loopback_backend(loopback.server_port, sleeps)
+    assert backend.complete("codegen", MSGS, 0.0).text == "after"
+    assert len(loopback.seen) == 2
+    assert len(sleeps) == 1
+
+
+@pytest.mark.parametrize("failure", ["short", "refused", "timeout"])
+def test_post_transport_failures_are_retried(loopback, failure):
+    port = loopback.server_port
+    answer = stall if failure == "timeout" else reply(200, ok_body("x"), "short")
+    loopback.replies += [answer] * 3
+    sleeps = []
+    with contextlib.ExitStack() as stack:
+        if failure == "refused":  # bound, never listening: connects are refused
+            closed = stack.enter_context(socket.socket())
+            closed.bind(("127.0.0.1", 0))
+            port = closed.getsockname()[1]
+        backend = loopback_backend(port, sleeps, max_retries=2, timeout_s=0.2)
+        with pytest.raises(BackendError, match="after 3 attempts, last error: transport"):
+            backend.complete("codegen", MSGS, 0.0)
+    assert len(sleeps) == 2
+    assert len(loopback.seen) == (0 if failure == "refused" else 3)
 
 
 # --- replay ------------------------------------------------------------

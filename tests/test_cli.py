@@ -718,6 +718,17 @@ def test_cost_guard_blocks_large_live_runs(tmp_path, capsys):
     assert "--yes" in err and "201" in err
 
 
+def test_endpoint_without_scheme_exits_one_naming_it(tmp_path, capsys):
+    instances = gen_tasks(tmp_path)
+    rc = cli.main([
+        "run", "--instances", str(instances), "--out", str(tmp_path / "o.jsonl"),
+        "--backend", "http", "--endpoint-url", "api.example.com/v1", "--model", "m",
+    ])
+    assert rc == 1
+    assert "'api.example.com/v1'" in capsys.readouterr().err
+    assert not (tmp_path / "o.jsonl").exists()
+
+
 def test_cost_guard_ignores_replay_backends(tmp_path, library):
     instances = gen_tasks(tmp_path, count=201, seed=5)
     replay = build_pal_replay(tmp_path, instances, library)
@@ -773,7 +784,7 @@ def test_crashed_run_marks_manifest_failed(tmp_path, library, monkeypatch):
 
 def live_backend(monkeypatch, transport):
     """Answer every request an HttpBackend sends with ``transport``."""
-    monkeypatch.setattr(HttpBackend, "_requests_transport", staticmethod(transport))
+    monkeypatch.setattr(HttpBackend, "_post", staticmethod(transport))
 
 
 def record_args(instances, out, store, mode="titan", extra=()):

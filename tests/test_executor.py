@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from titan import executor
+from titan import _helper
 from titan.executor import Helper, execute
 
 
@@ -106,7 +106,7 @@ def test_runs_are_isolated_and_cleaned_up(tmp_path, monkeypatch):
         "open('artifact.txt', 'w').write('x')\n"
         "print(sorted(os.listdir('.')))\n"
     )
-    assert first.stdout == str(["artifact.txt", executor.SCRIPT_NAME]) + "\n"
+    assert first.stdout == str(["artifact.txt", _helper.SCRIPT]) + "\n"
     second = execute("import os\nprint(os.path.exists('artifact.txt'))\n")
     assert second.stdout == "False\n"
     assert os.listdir(tmp_path) == []  # both run dirs removed
