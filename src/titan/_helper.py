@@ -7,23 +7,18 @@ socket, then serves one request per message: the guest's run dir, with the
 write ends of its stdout, stderr and status pipes attached as file
 descriptors.
 
-The process tree is helper -> spawner -> guests. The helper forks one
-long-lived spawner from its warm state and passes each request on to it
-over a socket pair; the spawner forks every guest itself, so a guest costs
-one fork. Per guest the spawner writes ``pid N`` on the status pipe, then
-one byte on a go pipe that the guest waits on, and, once the guest ends,
-``exit STATUS`` (the raw wait status); ``error MESSAGE`` if it could not
-fork. A guest whose spawner died before the go byte exits without running,
-so a request with no ``pid`` never ran its script.
+The process tree is runner -> helper -> guests: the helper forks every
+guest from its warm state, one fork per guest. Per guest it writes ``pid N``
+on the status pipe, then one byte on a go pipe that the guest waits on, and,
+once the guest ends, ``exit STATUS`` (the raw wait status); ``error MESSAGE``
+if it could not fork. A guest whose helper died before the go byte exits
+without running, so a request with no ``pid`` never ran its script.
 
-The spawner, not the helper, is each guest's parent, so a guest that kills
-the helper is still reported. A guest that kills the spawner loses its
-status, and so does any other guest of that spawner; the helper forks a
-new spawner when a send to the old one fails. Every process is waited for
-by its parent, the helper included by the runner, so guest CPU time
-reaches the runner's ``RUSAGE_CHILDREN``: at EOF on the control socket the
-helper closes the spawner's socket, the spawner reaps its guests and
-exits, and the helper reaps it and exits.
+A guest that kills the helper, its parent, loses its exit status, and so
+does every other guest still running; the runner starts a new helper for
+the next request. Every process is waited for by its parent, the helper by
+the runner, so guest CPU time reaches the runner's ``RUSAGE_CHILDREN``: at
+EOF on the control socket the helper reaps the guests left and exits.
 
 The guest runs in a new session, with the run dir as cwd, stdin on
 /dev/null (the helper's own stdin), stdout and stderr on the pipes and no
@@ -48,67 +43,17 @@ def main() -> None:
     for name in sys.argv[2:]:
         __import__(name)
     control.send(b"ready")
-    spawner = None
-    while True:
-        message, fds, _, _ = socket.recv_fds(control, 4096, 3)
-        if not message:
-            break
-        for _ in range(2):  # a dead spawner refuses the send: fork a new one once
-            try:
-                if spawner is None:
-                    spawner = _Spawner(control, fds)
-                socket.send_fds(spawner.sock, [message], fds)
-                break
-            except OSError as exc:
-                if spawner is None:
-                    _report(fds[2], f"error cannot fork a spawner: {exc}\n")
-                    break
-                spawner.close()
-                spawner = None
-        for fd in fds:
-            os.close(fd)
-    if spawner is not None:
-        spawner.close()
+    _spawn(control)
 
 
-class _Spawner:
-    """The helper's end of its spawner: the child's pid and a socket to it."""
-
-    def __init__(self, control: socket.socket, held: "list[int]"):
-        self.sock, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
-        try:
-            self.pid = os.fork()
-        except OSError:
-            self.sock.close()
-            theirs.close()
-            raise
-        if self.pid == 0:
-            try:
-                # Hold nothing of the helper's: a copy of the control socket or
-                # of the pipes of the request in hand would outlive their use.
-                control.close()
-                self.sock.close()
-                for fd in held:
-                    os.close(fd)
-                _spawn(theirs)
-            finally:
-                os._exit(0)  # never back into the serving loop
-        theirs.close()
-
-    def close(self) -> None:
-        """Send EOF and wait for the spawner, which first reaps its guests."""
-        self.sock.close()
-        os.waitpid(self.pid, 0)
-
-
-def _spawn(sock: socket.socket) -> None:
-    """Fork a guest per request on ``sock`` and report each one's exit.
+def _spawn(control: socket.socket) -> None:
+    """Fork a guest per request on ``control`` and report each one's exit.
 
     Single-threaded, since it forks: one poll loop over the socket and a
     pidfd per running guest. After EOF it waits for the guests left.
     """
     poller = select.poll()
-    poller.register(sock, select.POLLIN)
+    poller.register(control, select.POLLIN)
     guests = {}  # pidfd -> (pid, status fd)
     serving = True
     while serving or guests:
@@ -121,9 +66,9 @@ def _spawn(sock: socket.socket) -> None:
                 _report(status, "exit %d\n" % wait_status)
                 os.close(status)
                 continue
-            message, fds, _, _ = socket.recv_fds(sock, 4096, 3)
+            message, fds, _, _ = socket.recv_fds(control, 4096, 3)
             if not message:
-                poller.unregister(sock)
+                poller.unregister(control)
                 serving = False
                 continue
             out, err, status = fds
@@ -158,8 +103,8 @@ def _fork_guest(run_dir: str, out: int, err: int, status: int) -> int:
         try:
             os.close(go_write)
             # Start only on the go byte, once the runner knows the pid: a
-            # guest that killed the spawner first could not be killed on
-            # timeout. At EOF the spawner died before naming the guest, and
+            # guest that killed the helper first could not be killed on
+            # timeout. At EOF the helper died before naming the guest, and
             # the runner, seeing no pid, sends the request again.
             if os.read(go_read, 1):
                 _guest(run_dir, out, err)
@@ -190,6 +135,9 @@ def _guest(run_dir: str, out: int, err: int) -> None:
         os.setsid()
         os.dup2(out, 1)
         os.dup2(err, 2)
+        # The helper's control socket and the status pipes of the guests
+        # running beside this one go too: held here, they would keep a
+        # runner waiting for this guest to end.
         os.closerange(3, os.sysconf("SC_OPEN_MAX"))
         os.chdir(run_dir)
         module = types.ModuleType("__main__")

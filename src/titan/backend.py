@@ -140,10 +140,11 @@ def request_key(phase: str, messages, temperature: float) -> str:
 class HttpBackend:
     """OpenAI-compatible chat completions over HTTP.
 
-    The API key is read from the environment variable named in the config,
-    never from the config file itself. Transport and sleep are injectable,
-    so retry behaviour is tested without sockets; the default transport,
-    ``_post`` on ``urllib``, is tested against a loopback server.
+    The API key is read once, at construction, from the environment variable
+    named in the config, never from the config file itself. Transport and
+    sleep are injectable, so retry behaviour is tested without sockets; the
+    default transport, ``_post`` on ``urllib``, is tested against a loopback
+    server.
     """
 
     deterministic = False
@@ -168,6 +169,13 @@ class HttpBackend:
             raise BackendError(
                 "http backend requires an http:// or https:// endpoint_url "
                 f"with a host, got {config.endpoint_url!r}"
+            )
+        self._api_key = os.environ.get(config.api_key_env, "")
+        if not (self._api_key.isascii() and self._api_key.isprintable()):
+            # never quote the key: this message reaches stderr
+            raise BackendError(
+                f"the API key in ${config.api_key_env} is not printable ASCII, "
+                "so no HTTP header can carry it"
             )
         self.config = config
         self._transport = transport or self._post
@@ -211,9 +219,8 @@ class HttpBackend:
         headers = {
             "Content-Type": "application/json", "User-Agent": f"titan/{__version__}"
         }
-        key = os.environ.get(self.config.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
+        if self._api_key:
+            headers["Authorization"] = f"Bearer {self._api_key}"
         return headers
 
     def complete(

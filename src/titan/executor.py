@@ -3,14 +3,13 @@
 A run's ``Helper`` is one long-lived, single-threaded ``python3`` started
 from the scrubbed guest environment (PYTHONHASHSEED pinned, site-packages
 kept: no ``-S``). It pre-imports the modules repairs may inject
-(``codeproc._ALLOWED_MODULES``) and forks one spawner from that warm state,
-which forks each guest instead of cold-starting an interpreter per script.
-The helper starts on the run's first guest and is closed and reaped when
-the run ends, so guest CPU time reaches this process's
-``RUSAGE_CHILDREN``; ``_helper.py`` is its main program. A bare
-``execute(script)`` uses a one-shot helper. A helper that died, say
-because a guest killed it, is started again, and a request it never
-started a guest for is sent to the new one once.
+(``codeproc._ALLOWED_MODULES``) and forks each guest from that warm state
+instead of cold-starting an interpreter per script. The helper starts on
+the run's first guest and is closed and reaped when the run ends, so guest
+CPU time reaches this process's ``RUSAGE_CHILDREN``; ``_helper.py`` is its
+main program. A bare ``execute(script)`` uses a one-shot helper. A helper
+that died, say because a guest killed it, is started again, and a request
+it never started a guest for is sent to the new one once.
 
 Each guest gets a fresh temp working directory holding its script as
 ``main.py``, a new session, stdin on /dev/null, stdout and stderr on pipes
@@ -88,7 +87,7 @@ def _guest_env() -> dict:
 
 
 class Helper:
-    """One run's fork server: a warm interpreter whose spawner forks every guest.
+    """One run's fork server: a warm interpreter that forks every guest.
 
     ``interpreter`` is the one place the guests' interpreter is named. The
     process starts on the first ``launch``, so a run that never reaches a
@@ -166,7 +165,7 @@ class Helper:
     def _stop(self) -> None:
         if self._proc is None:
             return
-        self._control.close()  # EOF: the helper reaps its spawner and exits
+        self._control.close()  # EOF: the helper reaps its guests and exits
         try:
             self._proc.wait(timeout=_CLOSE_TIMEOUT_S)
         except subprocess.TimeoutExpired:
@@ -307,7 +306,7 @@ def _run(
         exit_code = os.waitstatus_to_exitcode(int(fields["exit"]))
         exit_kind = "ok" if exit_code == 0 else "nonzero"
     else:
-        # The spawner that forked the guest died, say killed by a guest, so
+        # The helper that forked the guest died, say killed by a guest, so
         # the status is gone.
         exit_kind, exit_code = "nonzero", None
         stderr += "\n[titan] guest exit status lost: its parent process died\n"
@@ -333,7 +332,7 @@ def _spawn_error(message: str, since: float) -> ExecutionOutcome:
 
 
 def _status_fields(status: bytes) -> "dict[str, str]":
-    """``pid``, ``exit`` and ``error`` lines the spawner wrote so far."""
+    """``pid``, ``exit`` and ``error`` lines the helper wrote so far."""
     fields = {}
     for line in bytes(status).decode("utf-8", "replace").splitlines(keepends=True):
         key, _, value = line.partition(" ")
@@ -343,10 +342,10 @@ def _status_fields(status: bytes) -> "dict[str, str]":
 
 
 def _kill_group(status: bytes) -> None:
-    """SIGKILL the guest's process group, once its spawner has named it."""
+    """SIGKILL the guest's process group, once the helper has named it."""
     pid = _status_fields(status).get("pid")
     if pid is None:
-        return  # the guest never started, or its spawner died before naming it
+        return  # the guest never started, or the helper died before naming it
     try:
         os.killpg(int(pid), signal.SIGKILL)
     except (ProcessLookupError, PermissionError):

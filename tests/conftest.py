@@ -1,4 +1,7 @@
+import glob
 import json
+import os
+import signal
 from collections import deque
 
 import pytest
@@ -16,6 +19,34 @@ def corpus():
 @pytest.fixture(scope="session")
 def library():
     return prompts.load_templates()
+
+
+def _children() -> "list[int]":
+    """Pids of this process's children, zombies included (Linux only)."""
+    pids = []
+    for path in glob.glob("/proc/self/task/*/children"):
+        with open(path) as fh:
+            pids += [int(pid) for pid in fh.read().split()]
+    return pids
+
+
+@pytest.fixture
+def no_child_left_running():
+    """Fail a test that leaves any child process of the test runner behind.
+
+    Children left are killed and reaped first, so later tests start clean.
+    Orphans, such as the guests of a helper a guest killed, are not
+    children and are not seen.
+    """
+    yield
+    left = _children()
+    for pid in left:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass
+    assert not left, f"child processes left running: {left}"
 
 
 def write_replay(path, entries):

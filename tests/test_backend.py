@@ -202,6 +202,31 @@ def test_http_api_key_comes_from_named_env_var(monkeypatch):
     assert fake.requests[0][1]["Authorization"] == "Bearer sk-secret"
 
 
+@pytest.mark.parametrize(
+    "key", ["sk-secret\nx", "sk-secret\r", "sk-secret\x1b", "sk-secr\u00e9t"]
+)
+def test_http_refuses_an_api_key_a_header_cannot_carry(monkeypatch, key):
+    # every request used to fail with a ValueError quoting the key, which
+    # each record's `error` then carried
+    monkeypatch.setenv("MY_KEY_VAR", key)
+    fake = FakeTransport([])
+    with pytest.raises(BackendError, match="MY_KEY_VAR") as info:
+        HttpBackend(http_config(api_key_env="MY_KEY_VAR"), transport=fake)
+    assert "secr" not in str(info.value)
+    assert fake.calls == 0
+
+
+def test_http_reads_the_api_key_once(monkeypatch):
+    monkeypatch.setenv("MY_KEY_VAR", "sk-first")
+    fake = FakeTransport([(200, ok_body("ok"))])
+    backend = HttpBackend(
+        http_config(api_key_env="MY_KEY_VAR"), transport=fake, sleep=lambda s: None
+    )
+    monkeypatch.setenv("MY_KEY_VAR", "sk-a\nb")
+    backend.complete("codegen", MSGS, 0.0)
+    assert fake.requests[0][1]["Authorization"] == "Bearer sk-first"
+
+
 def test_http_retries_on_429_500_and_transport_errors():
     fake = FakeTransport(
         [(429, ""), (500, "boom"), ConnectionError("reset"), (200, ok_body("done"))]

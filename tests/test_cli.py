@@ -612,6 +612,27 @@ def test_run_config_file_with_flag_override(tmp_path, library):
     assert all(r["mode"] == "pal_zs" for r in records)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "config file not found"),
+        ('{"mode": ', "config file is not valid JSON"),
+        ('["mode", "pal_zs"]', "config file must hold a flat JSON object"),
+    ],
+)
+def test_run_unreadable_config_file_is_usage_error(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text)
+    rc = cli.main([
+        "run", "--instances", "x.jsonl", "--out", str(tmp_path / "y.jsonl"),
+        "--config", str(config),
+    ])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "y.jsonl").exists()
+
+
 def test_run_unknown_config_key_is_usage_error(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text('{"api_key": "sk-leak"}')
@@ -727,6 +748,27 @@ def test_endpoint_without_scheme_exits_one_naming_it(tmp_path, capsys):
     assert rc == 1
     assert "'api.example.com/v1'" in capsys.readouterr().err
     assert not (tmp_path / "o.jsonl").exists()
+
+
+def test_api_key_a_header_cannot_carry_exits_one_without_leaking(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("TITAN_API_KEY", "sk-leak\nb")
+    sent = []
+    live_backend(monkeypatch, lambda *request: sent.append(request))
+    instances = gen_tasks(tmp_path)
+    capsys.readouterr()
+    rc = cli.main([
+        "run", "--instances", str(instances), "--out", str(tmp_path / "o.jsonl"),
+        "--backend", "http", "--endpoint-url", "http://unit.test/v1", "--model", "m",
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "TITAN_API_KEY" in captured.err
+    assert "sk-leak" not in captured.out + captured.err
+    assert sent == []
+    for path in tmp_path.rglob("*"):
+        assert not path.is_file() or b"sk-leak" not in path.read_bytes()
 
 
 def test_cost_guard_ignores_replay_backends(tmp_path, library):

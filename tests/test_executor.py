@@ -8,6 +8,8 @@ import pytest
 from titan import _helper
 from titan.executor import Helper, execute
 
+pytestmark = pytest.mark.usefixtures("no_child_left_running")
+
 
 def test_ok_run_captures_stdout_and_stderr():
     outcome = execute("import sys\nprint('hi')\nsys.stderr.write('warn')\n")

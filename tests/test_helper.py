@@ -19,6 +19,8 @@ from titan.taskgen import GroundTruth, TaskInstance
 
 from conftest import ScriptedBackend
 
+pytestmark = pytest.mark.usefixtures("no_child_left_running")
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 ONE = "```python\ndef solution():\n    return 1\n```"
@@ -96,24 +98,35 @@ def test_guest_cpu_reaches_rusage_children():
 
 
 PARENT = "import os\nprint(os.getppid())\n"
-KILL_PARENT = PARENT + "import signal\nos.kill(os.getppid(), signal.SIGKILL)\n"
 
 
-def test_guests_of_one_helper_share_one_spawner():
+def test_every_guest_is_a_child_of_the_helper():
     with Helper() as helper:
         outcomes = [execute(PARENT, helper=helper) for _ in range(2)]
         assert [o.exit for o in outcomes] == ["ok", "ok"]
-        assert outcomes[0].stdout == outcomes[1].stdout
-        assert int(outcomes[0].stdout) != helper._proc.pid
+        assert [int(o.stdout) for o in outcomes] == [helper._proc.pid] * 2
 
 
-def test_close_leaves_neither_the_helper_nor_its_spawner():
+def test_guest_killing_its_parent_gets_a_new_helper(helper_starts):
+    kill_parent = (
+        "import os, signal\nprint(os.getppid(), flush=True)\n"
+        "os.kill(os.getppid(), signal.SIGKILL)\n"
+    )
+    with Helper() as helper:
+        first = execute(kill_parent, timeout_s=5.0, helper=helper)
+        assert (first.exit, first.exit_code) == ("nonzero", None)
+        second = execute(PARENT, helper=helper)
+        assert second.exit == "ok"
+    assert [int(first.stdout), int(second.stdout)] == [p.pid for p in helper_starts]
+
+
+def test_close_reaps_the_helper_and_leaves_no_process():
     helper = Helper()
-    spawner = int(execute(PARENT, helper=helper).stdout)
+    guest = int(execute("import os\nprint(os.getpid())\n", helper=helper).stdout)
     proc = helper._proc
     helper.close()
     assert proc.returncode is not None
-    for pid in (proc.pid, spawner):
+    for pid in (proc.pid, guest):
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
 
@@ -191,26 +204,36 @@ def test_guest_killing_its_parent_ends_cleanly():
         assert execute("print('next')\n", helper=helper).stdout == "next\n"
 
 
-def test_guest_killing_its_spawner_gets_a_new_spawner_not_a_new_helper(helper_starts):
+def test_guest_forked_while_another_runs_holds_none_of_its_pipes(tmp_path):
+    started = tmp_path / "started"
+    first = (
+        f"import time\nopen({str(started)!r}, 'w').close()\n"
+        "time.sleep(0.3)\nprint('a')\n"
+    )
+    second = "import time\ntime.sleep(3)\nprint('b')\n"
     with Helper() as helper:
-        first = execute(KILL_PARENT, timeout_s=5.0, helper=helper)
-        assert (first.exit, first.exit_code) == ("nonzero", None)
-        second = execute(PARENT, helper=helper)
-        assert second.exit == "ok"
-        assert second.stdout != first.stdout
-    assert len(helper_starts) == 1
+        assert execute("pass\n", helper=helper).exit == "ok"  # starts the helper
+        outcomes, ended = {}, {}
 
+        def run(name, script):
+            outcomes[name] = execute(script, timeout_s=10.0, helper=helper)
+            ended[name] = time.monotonic()
 
-def test_spawner_forked_with_a_request_in_hand_does_not_hold_its_pipes():
-    with Helper() as helper:
-        first = execute(KILL_PARENT, helper=helper)
-        # the next request is in the helper's hands when it forks the new
-        # spawner; pipes held there would keep this guest open to its timeout
+        runners = [threading.Thread(target=run, args=("a", first)),
+                   threading.Thread(target=run, args=("b", second))]
         start = time.monotonic()
-        second = execute(PARENT, timeout_s=5.0, helper=helper)
-        assert time.monotonic() - start < 2.0
-        assert second.exit == "ok"
-        assert second.stdout != first.stdout
+        runners[0].start()
+        deadline = start + 10.0
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        # the helper holds a's status pipe when it forks b; b holding it too
+        # would keep a's outcome waiting until b ends
+        runners[1].start()
+        for runner in runners:
+            runner.join(20.0)
+        assert (outcomes["a"].exit, outcomes["a"].stdout) == ("ok", "a\n")
+        assert ended["a"] - start < 1.5
+        assert (outcomes["b"].exit, outcomes["b"].stdout) == ("ok", "b\n")
 
 
 def test_guest_ending_by_a_signal_reports_it():
@@ -218,7 +241,7 @@ def test_guest_ending_by_a_signal_reports_it():
     assert (outcome.exit, outcome.exit_code) == ("nonzero", -15)
 
 
-def test_guest_of_a_waiter_that_died_before_naming_it_never_runs(tmp_path):
+def test_guest_of_a_parent_that_died_before_naming_it_never_runs(tmp_path):
     marker = tmp_path / "ran"
     (tmp_path / _helper.SCRIPT).write_text(f"open({str(marker)!r}, 'w').close()\n")
     out_r, out_w = os.pipe()
@@ -251,7 +274,7 @@ def test_guest_killing_the_helper_gets_it_restarted(helper_starts):
             "print('killed')\n"
         )
         outcome = execute(script, timeout_s=5.0, helper=helper)
-        assert outcome.exit == "ok"
+        assert (outcome.exit, outcome.exit_code) == ("nonzero", None)
         assert outcome.stdout == "killed\n"
         assert execute("print('next')\n", helper=helper).stdout == "next\n"
     assert len(helper_starts) == 2
@@ -260,7 +283,10 @@ def test_guest_killing_the_helper_gets_it_restarted(helper_starts):
 
 def test_guest_killing_the_helper_does_not_hold_up_the_next_request(tmp_path):
     started = tmp_path / "started"
-    sleeper = f"import time\nopen({str(started)!r}, 'w').close()\ntime.sleep(3)\n"
+    sleeper = (
+        f"import time\nopen({str(started)!r}, 'w').close()\n"
+        "time.sleep(3)\nprint('slept')\n"
+    )
     with Helper() as helper:
         assert execute("pass\n", helper=helper).exit == "ok"  # starts the helper
         outcomes = []
@@ -272,14 +298,18 @@ def test_guest_killing_the_helper_does_not_hold_up_the_next_request(tmp_path):
         while not started.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
         kill = f"import os, signal\nos.kill({helper._proc.pid}, signal.SIGKILL)\n"
-        assert execute(kill, helper=helper).exit == "ok"
-        # the old spawner outlives the helper while the sleeper runs; a copy
-        # of the control socket held there would queue this request behind it
+        killer = execute(kill, helper=helper)
+        assert (killer.exit, killer.exit_code) == ("nonzero", None)
+        # the sleeper outlives the helper; a copy of the control socket held
+        # there would queue this request behind it
         start = time.monotonic()
         assert execute("print('next')\n", helper=helper).stdout == "next\n"
         assert time.monotonic() - start < 1.5
         runner.join(20.0)
-        assert [o.exit for o in outcomes] == ["ok"]
+        # the sleeper's status died with its parent, but not its output
+        assert [(o.exit, o.exit_code, o.stdout) for o in outcomes] == [
+            ("nonzero", None, "slept\n")
+        ]
 
 
 def test_requests_lost_by_a_dying_helper_are_sent_again_to_one_new_helper(
