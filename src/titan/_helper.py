@@ -1,11 +1,11 @@
 """Main program of the executor's helper interpreter (a fork server).
 
-``executor.Helper`` starts it as ``python3 _helper.py CONTROL_FD MODULE...``;
-titan imports it only for ``SCRIPT``, the name each guest's script is written
-under. The helper pre-imports each MODULE, sends ``ready`` on the control
-socket, then serves one request per message: the guest's run dir, with the
-write ends of its stdout, stderr and status pipes attached as file
-descriptors.
+``executor.Helper`` starts it as
+``python3 _helper.py CONTROL_FD NAME=LIMIT,... MODULE...``; titan imports it
+only for ``SCRIPT``, the name each guest's script is written under. The
+helper pre-imports each MODULE, sends ``ready`` on the control socket, then
+serves one request per message: the guest's run dir, with the write ends of
+its stdout, stderr and status pipes attached as file descriptors.
 
 The process tree is runner -> helper -> guests: the helper forks every
 guest from its warm state, one fork per guest. Per guest it writes ``pid N``
@@ -20,15 +20,17 @@ the next request. Every process is waited for by its parent, the helper by
 the runner, so guest CPU time reaches the runner's ``RUSAGE_CHILDREN``: at
 EOF on the control socket the helper reaps the guests left and exits.
 
-The guest runs in a new session, with the run dir as cwd, stdin on
-/dev/null (the helper's own stdin), stdout and stderr on the pipes and no
-other file descriptor open. Its script is compiled with the filename
-``main.py``, so tracebacks do not name the run dir.
+The guest runs in a new session, under each NAME's ``resource`` limit (soft
+and hard alike, at most the helper's own hard limit), with the run dir as
+cwd, stdin on /dev/null (the helper's own stdin), stdout and stderr on the
+pipes and no other file descriptor open. Its script is compiled with the
+filename ``main.py``, so tracebacks do not name the run dir.
 """
 
 import atexit
 import builtins
 import os
+import resource
 import select
 import socket
 import sys
@@ -40,13 +42,22 @@ SCRIPT = "main.py"
 def main() -> None:
     del sys.path[0]  # this file's directory; each guest gets its run dir
     control = socket.socket(fileno=int(sys.argv[1]))
-    for name in sys.argv[2:]:
+    limits = [_limit(*item.split("=")) for item in sys.argv[2].split(",")]
+    for name in sys.argv[3:]:
         __import__(name)
     control.send(b"ready")
-    _spawn(control)
+    _spawn(control, limits)
 
 
-def _spawn(control: socket.socket) -> None:
+def _limit(name: str, value: str) -> "tuple[int, int]":
+    """``resource.NAME`` and ``value``, lowered to the hard limit if above it."""
+    which = getattr(resource, name)
+    hard = resource.getrlimit(which)[1]
+    value = int(value)
+    return which, value if hard == resource.RLIM_INFINITY else min(value, hard)
+
+
+def _spawn(control: socket.socket, limits: "list[tuple[int, int]]") -> None:
     """Fork a guest per request on ``control`` and report each one's exit.
 
     Single-threaded, since it forks: one poll loop over the socket and a
@@ -73,7 +84,7 @@ def _spawn(control: socket.socket) -> None:
                 continue
             out, err, status = fds
             try:
-                pid = _fork_guest(os.fsdecode(message), out, err, status)
+                pid = _fork_guest(os.fsdecode(message), out, err, status, limits)
                 pidfd = os.pidfd_open(pid)
             except OSError as exc:
                 _report(status, f"error cannot start the guest: {exc}\n")
@@ -86,7 +97,9 @@ def _spawn(control: socket.socket) -> None:
                 os.close(err)
 
 
-def _fork_guest(run_dir: str, out: int, err: int, status: int) -> int:
+def _fork_guest(
+    run_dir: str, out: int, err: int, status: int, limits: "list[tuple[int, int]]"
+) -> int:
     """Fork the guest of one request, name it on ``status`` and let it go.
 
     Returns the guest's pid. If ``pid`` cannot be written, the guest gets
@@ -107,7 +120,7 @@ def _fork_guest(run_dir: str, out: int, err: int, status: int) -> int:
             # timeout. At EOF the helper died before naming the guest, and
             # the runner, seeing no pid, sends the request again.
             if os.read(go_read, 1):
-                _guest(run_dir, out, err)
+                _guest(run_dir, out, err, limits)
         finally:
             os._exit(1)
     os.close(go_read)
@@ -128,13 +141,15 @@ def _report(status: int, line: str) -> None:
         pass
 
 
-def _guest(run_dir: str, out: int, err: int) -> None:
+def _guest(run_dir: str, out: int, err: int, limits: "list[tuple[int, int]]") -> None:
     """Become the guest: run main.py in ``run_dir`` and exit as python3 would."""
     code = 0
     try:
         os.setsid()
         os.dup2(out, 1)
         os.dup2(err, 2)
+        for which, value in limits:  # after dup2, so a failure shows in stderr
+            resource.setrlimit(which, (value, value))
         # The helper's control socket and the status pipes of the guests
         # running beside this one go too: held here, they would keep a
         # runner waiting for this guest to end.

@@ -12,10 +12,19 @@ that died, say because a guest killed it, is started again, and a request
 it never started a guest for is sent to the new one once.
 
 Each guest gets a fresh temp working directory holding its script as
-``main.py``, a new session, stdin on /dev/null, stdout and stderr on pipes
-read here as they fill (at most ``output_cap`` characters of each are kept,
-the rest is read and dropped) and no other open file descriptor. A
-wall-clock timeout kills the guest's whole process group.
+``main.py``, a new session, the resource limits of ``GUEST_RLIMITS``, stdin
+on /dev/null, stdout and stderr on pipes read here as they fill, and no
+other open file descriptor. A wall-clock timeout kills the guest's whole
+process group.
+
+Of each output stream, at most ``4 * (output_cap + 1)`` bytes are kept and
+the rest is read and dropped. Once the guest is done, each is decoded once,
+as ``Popen.communicate`` does in text mode (preferred locale encoding,
+``errors="replace"``, ``\r\n`` and ``\r`` made ``\n``), and cut to
+``output_cap`` characters. A character takes at most 4 bytes, so those lie
+in the bytes kept. Only a stateful codec (ISO-2022-*), whose escapes decode
+to nothing, breaks that bound; the preferred encoding is UTF-8 here, as
+CPython's C-locale coercion also makes it.
 
 Isolation is process-level only. It is not a security sandbox; do not feed
 it scripts generated from untrusted prompts in privileged environments.
@@ -23,13 +32,10 @@ it scripts generated from untrusted prompts in privileged environments.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
-import io
 import locale
 import os
 import select
-import shutil
 import signal
 import socket
 import subprocess
@@ -46,6 +52,11 @@ DEFAULT_TIMEOUT_S = 10.0
 MAX_TIMEOUT_S = (2**31 - 1) / 1000.0
 DEFAULT_OUTPUT_CAP = 64 * 1024
 DEFAULT_INTERPRETER = "python3"
+# Limits of every guest, soft and hard alike (at most the runner's own hard
+# limit): its address space, the size of any file it writes, no core dump.
+# 1 GiB leaves room for a guest's threads, whose stacks each reserve
+# RLIMIT_STACK.
+GUEST_RLIMITS = {"RLIMIT_AS": 1 << 30, "RLIMIT_FSIZE": 64 << 20, "RLIMIT_CORE": 0}
 
 # Environment variables passed through to the guest. PYTHONHASHSEED is
 # pinned so set iteration inside guest scripts cannot break the
@@ -144,6 +155,7 @@ class Helper:
         try:
             proc = subprocess.Popen(
                 [self.interpreter, _HELPER_MAIN, str(theirs.fileno()),
+                 ",".join(f"{name}={value}" for name, value in GUEST_RLIMITS.items()),
                  *sorted(codeproc._ALLOWED_MODULES)],
                 env=_guest_env(),
                 stdin=subprocess.DEVNULL,
@@ -179,35 +191,6 @@ def helper_scope(helper: Optional[Helper]):
     return contextlib.nullcontext(helper) if helper is not None else Helper()
 
 
-class _Capture:
-    """One guest stream, decoded as it arrives like ``Popen(text=True)`` does.
-
-    Keeps the first ``cap`` characters; later data is read and dropped.
-    """
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.truncated = False
-        self._parts: "list[str]" = []
-        self._size = 0
-        decoder = codecs.getincrementaldecoder(locale.getpreferredencoding(False))
-        self._decoder = io.IncrementalNewlineDecoder(decoder("replace"), translate=True)
-
-    def feed(self, data: bytes, final: bool = False) -> None:
-        if self.truncated:
-            return
-        text = self._decoder.decode(data, final)
-        self._parts.append(text)
-        self._size += len(text)
-        if self._size > self.cap:
-            self._parts = ["".join(self._parts)[: self.cap]]
-            self.truncated = True
-
-    def text(self) -> str:
-        self.feed(b"", final=True)
-        return "".join(self._parts)
-
-
 def execute(
     script: str,
     timeout_s: float = DEFAULT_TIMEOUT_S,
@@ -219,20 +202,24 @@ def execute(
     The script lands in a fresh directory under ``tempfile.gettempdir()``
     as main.py and runs with that directory as cwd; the directory is
     removed afterwards. On timeout the whole process group receives
-    SIGKILL. Without ``helper``, a one-shot ``Helper()`` runs the script. A
-    ``timeout_s`` outside ``(0, MAX_TIMEOUT_S]``, NaN included, raises
-    ``ValueError`` before any helper or directory is made.
+    SIGKILL. Without ``helper``, a one-shot ``Helper()`` runs the script.
+    Before any helper or directory is made, a ``timeout_s`` outside
+    ``(0, MAX_TIMEOUT_S]``, NaN included, or a negative ``output_cap``
+    raises ``ValueError``, and an ``output_cap`` that is not an ``int``
+    (or is a ``bool``) raises ``TypeError``.
     """
     if not 0 < timeout_s <= MAX_TIMEOUT_S:
         raise ValueError(f"timeout_s must be in (0, {MAX_TIMEOUT_S}], got {timeout_s}")
-    with helper_scope(helper) as helper:
-        run_dir = tempfile.mkdtemp(prefix="titan-exec-")
-        try:
-            with open(os.path.join(run_dir, _helper.SCRIPT), "w", encoding="utf-8") as fh:
-                fh.write(script)
-            return _run(helper, run_dir, timeout_s, output_cap)
-        finally:
-            shutil.rmtree(run_dir, ignore_errors=True)
+    if not isinstance(output_cap, int) or isinstance(output_cap, bool):
+        raise TypeError(f"output_cap must be an int, got {output_cap!r}")
+    if output_cap < 0:
+        raise ValueError(f"output_cap must be at least 0, got {output_cap}")
+    with helper_scope(helper) as helper, tempfile.TemporaryDirectory(
+        prefix="titan-exec-", ignore_cleanup_errors=True
+    ) as run_dir:
+        with open(os.path.join(run_dir, _helper.SCRIPT), "w", encoding="utf-8") as fh:
+            fh.write(script)
+        return _run(helper, run_dir, timeout_s, output_cap)
 
 
 def _run(
@@ -252,8 +239,10 @@ def _run(
             for fd in (out_w, err_w, status_w):
                 os.close(fd)
         started = time.monotonic()
-        captures = {out_r: _Capture(output_cap), err_r: _Capture(output_cap)}
-        status = bytearray()
+        out, err, status = bytearray(), bytearray(), bytearray()
+        kept = {out_r: out, err_r: err}
+        limit = 4 * (output_cap + 1)  # bytes of output_cap + 1 characters at most
+        dropped = False
         poller = select.poll()
         for fd in readers:
             poller.register(fd, select.POLLIN)
@@ -278,7 +267,9 @@ def _run(
                     elif fd == status_r:
                         status += data
                     else:
-                        captures[fd].feed(data)
+                        stream = kept[fd]
+                        dropped = dropped or len(stream) + len(data) > limit
+                        stream += data[: limit - len(stream)]
         except BaseException:  # interrupted: leave no guest running
             _kill_group(status)
             raise
@@ -287,8 +278,9 @@ def _run(
         for fd in readers:
             os.close(fd)
 
-    stdout, stderr = captures[out_r].text(), captures[err_r].text()
-    truncated = captures[out_r].truncated or captures[err_r].truncated
+    stdout, out_cut = _decode(out, output_cap)
+    stderr, err_cut = _decode(err, output_cap)
+    truncated = dropped or out_cut or err_cut
     fields = _status_fields(status)
     if timed_out:
         exit_kind, exit_code = "timeout", None
@@ -318,6 +310,14 @@ def _run(
         wall_ms=wall_ms,
         truncated=truncated,
     )
+
+
+def _decode(data: bytearray, cap: int) -> "tuple[str, bool]":
+    """The first ``cap`` characters of ``data`` as ``communicate`` decodes it,
+    and whether there were more."""
+    text = data.decode(locale.getpreferredencoding(False), "replace")
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text[:cap], len(text) > cap
 
 
 def _spawn_error(message: str, since: float) -> ExecutionOutcome:

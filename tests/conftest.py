@@ -2,6 +2,7 @@ import glob
 import json
 import os
 import signal
+import tempfile
 from collections import deque
 
 import pytest
@@ -32,14 +33,17 @@ def _children() -> "list[int]":
 
 @pytest.fixture
 def no_child_left_running():
-    """Fail a test that leaves any child process of the test runner behind.
+    """Fail a test that leaves behind a child process of the test runner.
 
-    Children left are killed and reaped first, so later tests start clean.
-    Orphans, such as the guests of a helper a guest killed, are not
-    children and are not seen.
+    Only children born while the test runs count, so the helper of a
+    module-scoped fixture, started at its set-up, is not one. Children left
+    are killed and reaped first, so later tests start clean. Orphans, such
+    as the guests of a helper a guest killed, are not children and are not
+    seen.
     """
+    before = set(_children())
     yield
-    left = _children()
+    left = [pid for pid in _children() if pid not in before]
     for pid in left:
         try:
             os.kill(pid, signal.SIGKILL)
@@ -47,6 +51,37 @@ def no_child_left_running():
         except (ProcessLookupError, ChildProcessError):
             pass
     assert not left, f"child processes left running: {left}"
+
+
+def _pipes_and_sockets() -> "set[str]":
+    """Targets of this process's open pipe and socket fds (Linux only)."""
+    targets = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except FileNotFoundError:
+            continue  # the listing's own fd, closed since
+        if target.startswith(("pipe:", "socket:")):
+            targets.add(target)
+    return targets
+
+
+@pytest.fixture
+def no_fd_left_open():
+    """Fail a test that leaves a pipe or socket open in the test runner."""
+    before = _pipes_and_sockets()
+    yield
+    left = _pipes_and_sockets() - before
+    assert not left, f"pipes or sockets left open: {sorted(left)}"
+
+
+@pytest.fixture
+def no_run_dir_left(tmp_path, monkeypatch):
+    """Make run dirs under ``tmp_path``; fail a test that leaves one there."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    yield
+    left = glob.glob(os.path.join(tmp_path, "titan-exec-*"))
+    assert not left, f"run dirs left: {left}"
 
 
 def write_replay(path, entries):

@@ -15,6 +15,8 @@ from titan import prompts
 
 from conftest import literal_solution_code, write_replay
 
+pytestmark = pytest.mark.usefixtures("no_child_left_running")
+
 
 def gen_tasks(tmp_path, dataset="counting", count=6, seed=11):
     out = tmp_path / f"{dataset}.jsonl"

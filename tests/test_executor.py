@@ -8,7 +8,9 @@ import pytest
 from titan import _helper
 from titan.executor import Helper, execute
 
-pytestmark = pytest.mark.usefixtures("no_child_left_running")
+pytestmark = pytest.mark.usefixtures(
+    "no_child_left_running", "no_fd_left_open", "no_run_dir_left"
+)
 
 
 def test_ok_run_captures_stdout_and_stderr():
@@ -66,6 +68,18 @@ def test_out_of_range_timeout_is_rejected_before_any_guest(
     assert os.listdir(tmp_path) == []  # no run dir was made
 
 
+@pytest.mark.parametrize(
+    "output_cap, error",
+    [(-1, ValueError), (2.5, TypeError), (True, TypeError), ("10", TypeError)],
+)
+def test_bad_output_cap_is_rejected_before_any_guest(tmp_path, output_cap, error):
+    with Helper() as helper:
+        with pytest.raises(error, match="output_cap"):
+            execute("print('hello')\n", output_cap=output_cap, helper=helper)
+        assert helper._proc is None  # no helper was started
+    assert os.listdir(tmp_path) == []  # no run dir was made
+
+
 def test_spawn_error_for_missing_interpreter():
     outcome = execute("print(1)\n", helper=Helper("definitely-not-a-real-binary"))
     assert outcome.exit == "spawn_error"
@@ -112,3 +126,10 @@ def test_runs_are_isolated_and_cleaned_up(tmp_path, monkeypatch):
     second = execute("import os\nprint(os.path.exists('artifact.txt'))\n")
     assert second.stdout == "False\n"
     assert os.listdir(tmp_path) == []  # both run dirs removed
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root can remove what it cannot read")
+def test_run_dir_is_removed_when_the_guest_locks_a_subdirectory(tmp_path):
+    outcome = execute("import os\nos.makedirs('d/e')\nos.chmod('d', 0)\n")
+    assert outcome.exit == "ok"
+    assert os.listdir(tmp_path) == []

@@ -19,7 +19,9 @@ from titan.taskgen import GroundTruth, TaskInstance
 
 from conftest import ScriptedBackend
 
-pytestmark = pytest.mark.usefixtures("no_child_left_running")
+pytestmark = pytest.mark.usefixtures(
+    "no_child_left_running", "no_fd_left_open", "no_run_dir_left"
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -178,6 +180,37 @@ def test_crlf_is_translated_across_reads():
     assert outcome.stdout == "a\nb\nc\n" * 50000
 
 
+# (chunks written in turn with a pause between them, output_cap, text, truncated)
+CAPTURES = {
+    "split 4-byte character": ((b"a\xf0\x9f", b"\x98\x80b"), 100, "a\U0001f600b", False),
+    "split CRLF": ((b"a\r", b"\nb"), 100, "a\nb", False),
+    "lone trailing CR": ((b"a\r",), 100, "a\n", False),
+    "invalid UTF-8": ((b"a\xff\xfeb", b"c\xe2\x82"), 100, "a\ufffd\ufffdbc\ufffd", False),
+    "exactly the cap": ((b"\xc3\xa9" * 5,), 5, "\xe9" * 5, False),
+    "one past the cap": ((b"\xc3\xa9" * 6,), 5, "\xe9" * 5, True),
+    "cap inside a character's bytes": ((b"ab\xf0\x9f", b"\x98\x80c"), 3, "ab\U0001f600", True),
+    "CRLF at the cap": ((b"ab\r\ncd",), 3, "ab\n", True),
+    "cap of zero": ((b"a",), 0, "", True),
+    "nothing written": ((), 0, "", False),
+}
+
+
+@pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
+@pytest.mark.parametrize("chunks, cap, text, truncated", CAPTURES.values(), ids=CAPTURES)
+def test_capture_decodes_each_stream_like_communicate(fd, chunks, cap, text, truncated):
+    # the pause lets the runner read each chunk on its own
+    script = "import os, time\n" + "time.sleep(0.05)\n".join(
+        f"os.write({fd}, {chunk!r})\n" for chunk in chunks
+    )
+    outcome = execute(script, output_cap=cap)
+    assert outcome.exit == "ok", outcome.stderr
+    captured, other = (
+        (outcome.stdout, outcome.stderr) if fd == 1 else (outcome.stderr, outcome.stdout)
+    )
+    assert (captured, outcome.truncated) == (text, truncated)
+    assert other == ""
+
+
 # --- hostile guests ------------------------------------------------------
 
 
@@ -202,6 +235,71 @@ def test_guest_killing_its_parent_ends_cleanly():
         assert outcome.exit_code is None
         assert outcome.stdout == "still here\n"
         assert execute("print('next')\n", helper=helper).stdout == "next\n"
+
+
+def test_guest_memory_is_capped():
+    # under RLIMIT_AS the mmap fails at once, so this uses no memory
+    cap = executor.GUEST_RLIMITS["RLIMIT_AS"]
+    outcome = execute(f"bytearray({2 * cap})\n")
+    assert (outcome.exit, outcome.exit_code) == ("nonzero", 1)
+    assert outcome.stderr.rstrip().endswith("MemoryError")
+
+
+def test_guest_file_size_is_capped():
+    # python ignores SIGXFSZ, so the write fails instead of killing the guest
+    cap = executor.GUEST_RLIMITS["RLIMIT_FSIZE"]
+    script = f"with open('big', 'wb') as fh:\n    fh.seek({cap})\n    fh.write(b'x')\n"
+    outcome = execute(script)
+    assert (outcome.exit, outcome.exit_code) == ("nonzero", 1)
+    assert "OSError: [Errno 27] File too large" in outcome.stderr
+
+
+def test_guest_limits_cannot_be_raised():
+    names = sorted(executor.GUEST_RLIMITS)
+    script = "import resource\n" + "".join(
+        f"print(resource.getrlimit(resource.{name}))\n" for name in names
+    )
+    outcome = execute(script)
+    assert outcome.exit == "ok", outcome.stderr
+    expected = []
+    for name in names:
+        value = executor.GUEST_RLIMITS[name]
+        hard = resource.getrlimit(getattr(resource, name))[1]
+        if hard != resource.RLIM_INFINITY:
+            value = min(value, hard)
+        expected.append(f"({value}, {value})")  # soft and hard alike
+    assert outcome.stdout.splitlines() == expected
+
+
+def test_guest_limits_stay_under_the_runners_hard_limits():
+    # an unprivileged guest could not set a limit above the hard one
+    child = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (2**20, 2**20))\n"
+        "from titan.executor import execute\n"
+        "outcome = execute('import resource\\n'\n"
+        "    'print(resource.getrlimit(resource.RLIMIT_FSIZE))\\n')\n"
+        "print(outcome.exit, outcome.stdout, outcome.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok (1048576, 1048576)\n \n"
+
+
+def test_guest_starting_eight_threads_fits_under_the_memory_cap():
+    # each thread's stack reserves RLIMIT_STACK of address space
+    script = (
+        "import threading, time\n"
+        "threads = [threading.Thread(target=time.sleep, args=(0.1,)) for _ in range(8)]\n"
+        "for thread in threads:\n    thread.start()\n"
+        "for thread in threads:\n    thread.join()\n"
+        "print(threading.active_count())\n"
+    )
+    outcome = execute(script)
+    assert (outcome.exit, outcome.stdout) == ("ok", "1\n"), outcome.stderr
 
 
 def test_guest_forked_while_another_runs_holds_none_of_its_pipes(tmp_path):
@@ -253,7 +351,7 @@ def test_guest_of_a_parent_that_died_before_naming_it_never_runs(tmp_path):
         try:
             os.close(out_r)
             os.close(err_r)
-            _helper._fork_guest(str(tmp_path), out_w, err_w, status_w)
+            _helper._fork_guest(str(tmp_path), out_w, err_w, status_w, [])
         finally:
             os._exit(0)
     for fd in (out_w, err_w, status_w):

@@ -17,7 +17,7 @@ from titan.backend import (
     ReplayBackend,
     request_key,
 )
-from titan.executor import Helper
+from titan.executor import Helper, execute
 from titan.pipeline import (
     MODES,
     PHASES_PER_MODE,
@@ -31,6 +31,8 @@ from titan.pipeline import run_self_consistency as run_instance
 from titan.taskgen import GroundTruth, TaskInstance
 
 from conftest import ScriptedBackend, write_replay
+
+pytestmark = pytest.mark.usefixtures("no_child_left_running")
 
 QUESTION = (
     "Ed had 22 more marbles than Doug. Doug lost 8 of his marbles at the "
@@ -314,6 +316,9 @@ _codegen_texts = st.one_of(
 @pytest.fixture(scope="module")
 def shared_helper():
     with Helper() as helper:
+        # started here, not in the first test that uses it, so that test
+        # does not leave it running
+        assert execute("pass\n", helper=helper).exit == "ok"
         yield helper
 
 
